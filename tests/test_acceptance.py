@@ -4,14 +4,17 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline;
 without ``-s`` pytest shows them for failing criteria only.
 """
 
+import hashlib
 import itertools
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 from ellab.catalog import ALL_CLASSES, FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES
 from ellab.configs import FiberConfig, default_points, parse_config
-from ellab.correspondence import CertificateKind, certify
+from ellab.correspondence import CertificateKind, certificate_to_json, certify
+from ellab.errors import HypothesesNotMet
 from ellab.isogeny import (GraphMode, candidate_moves, closure, dual_move,
                            graph_to_tsv)
 from ellab.kummer import (Rationality, fiber_fixed_points, kummer_input_from_catalog,
@@ -125,19 +128,76 @@ def test_criterion_4_kummer_worked_examples():
 
 # ---------------------------------------------------------------- criterion 5
 
-def _case_a_instances():
-    """Every alignment of two Beauville table rows with 3 common points."""
-    rows = [row for cls in FOUR_FIBER_CLASSES for row in cls]
-    for left_row, right_row in itertools.product(rows, rows):
-        left = FiberConfig(("P1", "P2", "P3", "P4"), left_row)
-        for left_positions in itertools.combinations(range(4), 3):
-            for right_positions in itertools.permutations(range(4), 3):
-                labels = [None] * 4
+def _alignments(left_rows, right_rows, common):
+    """Every product of a left and a right row whose factors share exactly
+    ``common`` points; unaligned right points get fresh labels Q1, Q2, ..."""
+    for left_row, right_row in itertools.product(left_rows, right_rows):
+        left = cfg(left_row)
+        n = len(right_row)
+        for left_positions in itertools.combinations(range(len(left_row)), common):
+            for right_positions in itertools.permutations(range(n), common):
+                labels = [None] * n
                 for rp, lp in zip(right_positions, left_positions):
                     labels[rp] = left.points[lp]
-                free = next(i for i in range(4) if labels[i] is None)
-                labels[free] = "Q1"
+                fresh = iter(f"Q{i}" for i in range(1, n + 1))
+                labels = [label or next(fresh) for label in labels]
                 yield make_product(left, FiberConfig(tuple(labels), right_row))
+
+
+FOUR_FIBER_ROWS = [row for cls in FOUR_FIBER_CLASSES for row in cls]
+FIVE_FIBER_ROWS = [row for cls in FIVE_FIBER_CLASSES for row in cls]
+
+
+def _case_a_instances():
+    """Every alignment of two Beauville table rows with 3 common points."""
+    return _alignments(FOUR_FIBER_ROWS, FOUR_FIBER_ROWS, 3)
+
+
+def _case_b_instances():
+    """Every alignment of a four-fiber row with a five-fiber row on 4 common points."""
+    return _alignments(FOUR_FIBER_ROWS, FIVE_FIBER_ROWS, 4)
+
+
+def _certify_all(diagrams):
+    """(diagram, certificate or the HypothesesNotMet raised) per diagram."""
+    results = []
+    for diagram in diagrams:
+        try:
+            results.append((diagram, certify(diagram)))
+        except HypothesesNotMet as exc:
+            results.append((diagram, exc))
+    return results
+
+
+def _golden(results):
+    """sha256 over the outputs in enumeration order and the outcome histogram.
+
+    Every certificate's move log is replayed through ``apply_move`` from the
+    input and must give the certified diagram; a partner must be rigid.
+    """
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for diagram, cert in results:
+        if isinstance(cert, HypothesesNotMet):
+            outcomes["NotApplicable"] += 1
+            digest.update(f"NotApplicable: {cert}\n".encode())
+            continue
+        outcomes[str(cert.kind)] += 1
+        digest.update(certificate_to_json(cert).encode())
+        if cert.diagram is None:
+            assert not cert.moves
+            continue
+        replayed = diagram
+        for applied in cert.moves:
+            replayed = apply_move(replayed, applied.side, applied.move)
+        assert replayed.pairs == cert.diagram.pairs, diagram.pairs
+        if cert.kind is CertificateKind.RIGID_PRODUCT_PARTNER:
+            assert is_rigid_criterion(cert.diagram), diagram.pairs
+    return digest.hexdigest(), dict(outcomes)
+
+
+CASE_A_SHA256 = "08edcebd4c3782d9a87ccd3538faebf9e479ddb02b30b4f3e22aacdc08b94017"
+CASE_B_SHA256 = "340cf38f16f9b2525aa765e2cd7eb0f03f08a6698370b0dba7638ca4658a5917"
 
 
 def test_criterion_5_rigid_partner_search():
@@ -148,13 +208,24 @@ def test_criterion_5_rigid_partner_search():
         assert cert.kind is CertificateKind.RIGID_PRODUCT_PARTNER
         assert cert.diagram.pairs == ((9, 8), (1, 2), (1, 1), (1, 0), (0, 1))
         assert is_rigid_criterion(cert.diagram)
-        count = 0
+        results = []
         for diagram in _case_a_instances():
             cert = certify(diagram)
             assert cert.kind is CertificateKind.RIGID_PRODUCT_PARTNER, diagram.pairs
-            count += 1
-        assert count == 17 * 17 * 4 * 24
+            results.append((diagram, cert))
+        assert len(results) == 17 * 17 * 4 * 24
         assert time.perf_counter() - start < 10.0
+        # checked off the clock: the bound above times the search only
+        assert _golden(results) == (CASE_A_SHA256, {"RigidProductPartner": 27744})
+
+
+def test_criterion_5b_case_b_sweep():
+    with criterion("ACCEPTANCE 5b (Case B certification sweep)"):
+        results = _certify_all(_case_b_instances())
+        assert len(results) == 17 * 11 * 120
+        assert _golden(results) == (CASE_B_SHA256, {
+            "RigidProductPartner": 13872, "RigidKummer": 1720,
+            "NotCertified": 5216, "NotApplicable": 1632})
 
 
 # ---------------------------------------------------------------- criterion 6
