@@ -23,15 +23,11 @@ rather than guessing; the tables cover 4 and 5 fibers only.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .configs import MIN_FIBERS, TOTAL_INDEX
-from .errors import MalformedInput, SumNot12, TooFewFibers
-
-CATALOG_ENV_VAR = "ELLAB_CATALOG"
+from .configs import MIN_FIBERS, TOTAL_INDEX, descending, index_text
+from .errors import MalformedInput, NotInCatalog, SumNot12, TooFewFibers
 
 
 class Admissibility(Enum):
@@ -57,7 +53,7 @@ class CatalogEntry:
     def __post_init__(self):
         if sum(self.partition) != TOTAL_INDEX:
             raise SumNot12(f"catalog partition sums to {sum(self.partition)}")
-        if tuple(sorted(self.partition, reverse=True)) != tuple(self.partition):
+        if descending(self.partition) != tuple(self.partition):
             raise MalformedInput(f"catalog partition not descending: {self.partition}")
         degrees = self.branch_component_degrees
         if degrees is not None and sum(degrees) != 4:
@@ -119,34 +115,21 @@ FIVE_FIBER_CLASSES: tuple[tuple[tuple[int, ...], ...], ...] = (
 
 ALL_CLASSES = FOUR_FIBER_CLASSES + FIVE_FIBER_CLASSES
 
-# every positioned row, and every partition covered by some row
+# every positioned row
 TABLE_ROWS: frozenset[tuple[int, ...]] = frozenset(
     row for cls in ALL_CLASSES for row in cls
 )
-TABLE_PARTITIONS: frozenset[tuple[int, ...]] = frozenset(
-    tuple(sorted(row, reverse=True)) for row in TABLE_ROWS
+# partition -> position of its class in ALL_CLASSES (no partition spans two)
+CLASS_INDEX: dict[tuple[int, ...], int] = {
+    descending(row): i for i, cls in enumerate(ALL_CLASSES) for row in cls
+}
+# every partition covered by some row
+TABLE_PARTITIONS: frozenset[tuple[int, ...]] = frozenset(CLASS_INDEX)
+
+ADMISSIBLE_PARTITIONS: frozenset[tuple[int, ...]] = frozenset(
+    e.partition for e in EMBEDDED_ENTRIES
 )
-
-
-def active_entries() -> tuple[CatalogEntry, ...]:
-    """The catalog in effect: embedded, unless ELLAB_CATALOG points to a JSON file."""
-    path = os.environ.get(CATALOG_ENV_VAR)
-    if not path:
-        return EMBEDDED_ENTRIES
-    return _entries_from_file(path)
-
-
-@lru_cache(maxsize=8)
-def _entries_from_file(path: str) -> tuple[CatalogEntry, ...]:
-    with open(path, encoding="utf-8") as handle:
-        return import_catalog(handle.read())
-
-
-@lru_cache(maxsize=8)
-def _partition_sets(entries: tuple[CatalogEntry, ...]):
-    four = frozenset(e.partition for e in entries if len(e.partition) == 4)
-    five = frozenset(e.partition for e in entries if len(e.partition) == 5)
-    return four, five
+_ENTRY_BY_PARTITION = {e.partition: e for e in EMBEDDED_ENTRIES}
 
 
 def admissible(partition) -> Admissibility:
@@ -156,28 +139,31 @@ def admissible(partition) -> Admissibility:
     Total on partitions of 12 into at least four parts.  The tables cover
     4 and 5 fibers; anything larger is honestly UnknownBeyondCatalog.
     """
-    partition = tuple(sorted(partition, reverse=True))
+    partition = descending(partition)
     if any(k < 1 for k in partition):
         raise MalformedInput(f"partition parts must be positive: {partition}")
     if sum(partition) != TOTAL_INDEX:
         raise SumNot12(f"partition sums to {sum(partition)}, expected {TOTAL_INDEX}")
     if len(partition) < MIN_FIBERS:
         raise TooFewFibers(f"need at least {MIN_FIBERS} parts, got {len(partition)}")
-    four, five = _partition_sets(active_entries())
-    if len(partition) == 4:
-        return Admissibility.ADMISSIBLE if partition in four else Admissibility.NOT_ADMISSIBLE
-    if len(partition) == 5:
-        return Admissibility.ADMISSIBLE if partition in five else Admissibility.NOT_ADMISSIBLE
-    return Admissibility.UNKNOWN_BEYOND_CATALOG
+    if len(partition) > 5:
+        return Admissibility.UNKNOWN_BEYOND_CATALOG
+    if partition in ADMISSIBLE_PARTITIONS:
+        return Admissibility.ADMISSIBLE
+    return Admissibility.NOT_ADMISSIBLE
+
+
+def _check_admissible(indices, name: str):
+    """Reject the indices of a valid configuration unless its partition is
+    admissible; ``name`` says which configuration in the message."""
+    partition = descending(indices)
+    if partition not in ADMISSIBLE_PARTITIONS:
+        raise NotInCatalog(f"{name}: partition {index_text(partition)} is not admissible")
 
 
 def catalog_lookup(partition) -> CatalogEntry | None:
     """The stored entry for a partition, or None."""
-    partition = tuple(sorted(partition, reverse=True))
-    for entry in active_entries():
-        if entry.partition == partition:
-            return entry
-    return None
+    return _ENTRY_BY_PARTITION.get(descending(partition))
 
 
 def _entry_to_dict(entry: CatalogEntry) -> dict:
@@ -218,7 +204,7 @@ def canonical_order(entries) -> tuple[CatalogEntry, ...]:
 def export_catalog(entries=None) -> str:
     """Serialize the catalog as a canonical JSON array (byte-stable)."""
     if entries is None:
-        entries = active_entries()
+        entries = EMBEDDED_ENTRIES
     records = [_entry_to_dict(e) for e in canonical_order(entries)]
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
 

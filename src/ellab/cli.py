@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import catalog
-from .configs import parse_config
+from .configs import index_text, parse_config, partition_of
 from .correspondence import (CertificateKind, certificate_to_json, certify,
                              render_certificate)
 from .errors import EllabError, MalformedInput
@@ -21,12 +21,6 @@ from .kummer import kummer_input_from_catalog, kummer_rigidity, render_report, r
 from .product import (diagram_to_json, factors_share_class, make_product,
                       parse_diagram, render_diagram)
 from .torsion import torsion_status
-
-
-def _partition_text(partition):
-    if all(k <= 9 for k in partition):
-        return "".join(str(k) for k in partition)
-    return ",".join(str(k) for k in partition)
 
 
 def _entry_line(entry):
@@ -38,7 +32,7 @@ def _entry_line(entry):
     if entry.distinguished_positions is not None:
         flags.append("distinguished=" + ",".join(str(i) for i in entry.distinguished_positions))
     return "\t".join([
-        _partition_text(entry.partition),
+        index_text(entry.partition),
         entry.modular_group_name or "-",
         degrees,
         ";".join(flags) or "-",
@@ -47,9 +41,9 @@ def _entry_line(entry):
 
 
 def _cmd_catalog(args) -> int:
-    entries = catalog.canonical_order(catalog.active_entries())
+    entries = catalog.canonical_order(catalog.EMBEDDED_ENTRIES)
     if args.partition:
-        partition = tuple(sorted(parse_config(args.partition).indices, reverse=True))
+        partition = partition_of(parse_config(args.partition))
         entries = tuple(e for e in entries if e.partition == partition)
         if not entries:
             print(f"no catalog entry for {args.partition}", file=sys.stderr)

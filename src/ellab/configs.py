@@ -77,16 +77,26 @@ def parse_config(text: str, labels=None) -> FiberConfig:
     return FiberConfig(points, indices)
 
 
+def index_text(indices) -> str:
+    """Compact digit form ("9111"), or CSV form when an index exceeds 9."""
+    if all(k <= 9 for k in indices):
+        return "".join(str(k) for k in indices)
+    return ",".join(str(k) for k in indices)
+
+
 def render_config(config: FiberConfig) -> str:
     """Inverse of :func:`parse_config` (labels are not rendered)."""
-    if all(k <= 9 for k in config.indices):
-        return "".join(str(k) for k in config.indices)
-    return ",".join(str(k) for k in config.indices)
+    return index_text(config.indices)
+
+
+def descending(indices) -> tuple[int, ...]:
+    """The partition of an index sequence: its multiset in descending order."""
+    return tuple(sorted(indices, reverse=True))
 
 
 def partition_of(config: FiberConfig) -> tuple[int, ...]:
     """Descending multiset of indices; positions and labels discarded."""
-    return tuple(sorted(config.indices, reverse=True))
+    return descending(config.indices)
 
 
 def odd_index_count(indices) -> int:

@@ -23,15 +23,14 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from . import catalog
-from .errors import HypothesesNotMet, MissingFlag, NotInCatalog
-from .isogeny import GraphMode, _closure_tuples
+from .configs import descending, index_text
+from .errors import HypothesesNotMet, MalformedInput
 from .kummer import (KummerReport, NODE_COUNT_PATTERNS, fiber_fixed_points,
                      kummer_input_from_catalog, kummer_rigidity, report_to_json)
-from .product import (AppliedMove, ProductDiagram, _move_record, _pair_rows,
-                      _replace_factor, common_singular_count, factors_share_class,
-                      find_rigid_partner, is_rigid_criterion, left_config,
-                      render_diagram, right_config)
+from .product import (AppliedMove, ProductDiagram, _admissible_factors,
+                      _move_record, _obstructions, _partner, _representatives,
+                      common_singular_count, factors_share_class,
+                      find_rigid_partner, render_diagram)
 
 KUMMER_PARTITIONS = frozenset({(3, 3, 3, 2, 1), (4, 4, 2, 1, 1), (6, 2, 2, 1, 1)})
 
@@ -71,18 +70,10 @@ class Certificate:
     warnings: tuple[str, ...] = ()
 
 
-def _check_admissible(d: ProductDiagram):
-    for side, cfg in (("left", left_config(d)), ("right", right_config(d))):
-        partition = tuple(sorted(cfg.indices, reverse=True))
-        if catalog.admissible(partition) is not catalog.Admissibility.ADMISSIBLE:
-            raise NotInCatalog(f"{side} factor partition {partition} is not admissible")
-
-
 def classify_hypotheses(d: ProductDiagram) -> HypothesisCase:
     """Sort a diagram into Case A, Case B, or NotApplicable with the violated clause."""
-    _check_admissible(d)
-    n_left = len(left_config(d))
-    n_right = len(right_config(d))
+    left, right = _admissible_factors(d)
+    n_left, n_right = len(left), len(right)
     common = common_singular_count(d)
     if n_left == 4 and n_right == 4:
         if common == 3:
@@ -95,8 +86,7 @@ def classify_hypotheses(d: ProductDiagram) -> HypothesisCase:
             return HypothesisCase(
                 CaseKind.NOT_APPLICABLE,
                 f"mixed 4/5-fiber factors need 4 common singular fibers, found {common}")
-        five_partition = tuple(sorted(
-            (left_config(d) if n_left == 5 else right_config(d)).indices, reverse=True))
+        five_partition = descending(left if n_left == 5 else right)
         for a, b in d.pairs:
             if 0 not in (a, b):
                 continue
@@ -114,16 +104,6 @@ def classify_hypotheses(d: ProductDiagram) -> HypothesisCase:
         f"factors must have 4+4 or 4+5 singular fibers, found {n_left}+{n_right}")
 
 
-def _representative_pairs(d, left_data, right_data):
-    """Input pair first, then descending lexicographic order."""
-    start = (left_config(d).indices, right_config(d).indices)
-    yield start
-    for l_tuple in sorted(left_data.nodes, reverse=True):
-        for r_tuple in sorted(right_data.nodes, reverse=True):
-            if (l_tuple, r_tuple) != start:
-                yield l_tuple, r_tuple
-
-
 def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
     """Attempt both certification routes in deterministic priority order.
 
@@ -133,6 +113,8 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
     fixed-point multiset matches a reference pattern, otherwise an explicit
     ``node_count`` is required.
     """
+    if node_count is not None and node_count < 0:
+        raise MalformedInput(f"node count must be non-negative, got {node_count}")
     case = classify_hypotheses(d)
     if case.kind is CaseKind.NOT_APPLICABLE:
         raise HypothesesNotMet(case.reason)
@@ -143,7 +125,6 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
     found = find_rigid_partner(d)
     if found is not None:
         partner, moves = found
-        assert is_rigid_criterion(partner)
         return Certificate(CertificateKind.RIGID_PRODUCT_PARTNER, case,
                            diagram=partner, moves=moves, warnings=warnings)
 
@@ -152,42 +133,26 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
         reasons.append("no five-fiber factor, so the Kummer route does not apply")
         return Certificate(CertificateKind.NOT_CERTIFIED, case,
                            reasons=tuple(reasons), warnings=warnings)
-    entries = catalog.active_entries()
-    left = left_config(d)
-    right = right_config(d)
-    left_data = _closure_tuples(left.indices, GraphMode.CATALOG_GATED, entries)
-    right_data = _closure_tuples(right.indices, GraphMode.CATALOG_GATED, entries)
-    five_on_left = len(left) == 5
-    for l_tuple, r_tuple in _representative_pairs(d, left_data, right_data):
-        rows = _pair_rows(d, l_tuple, r_tuple)
-        obstructions = [(a, b) for a, b in rows
-                        if (a == 0 and b >= 2) or (b == 0 and a >= 2)]
-        if len(obstructions) != 1 or set(obstructions[0]) != {2, 0}:
+    for l_tuple, r_tuple, rows in _representatives(d):
+        if _obstructions(rows) not in ([(2, 0)], [(0, 2)]):
             continue
-        five_partition = tuple(sorted(l_tuple if five_on_left else r_tuple, reverse=True))
-        label = f"{''.join(map(str, l_tuple))} x {''.join(map(str, r_tuple))}"
+        five_partition = descending(l_tuple if len(l_tuple) == 5 else r_tuple)
+        label = f"{index_text(l_tuple)} x {index_text(r_tuple)}"
         if five_partition not in KUMMER_PARTITIONS:
             reasons.append(
                 f"kummer route {label}: five-fiber partition {five_partition} has no "
                 "quartic model with node-induced I_2 fibers")
             continue
-        candidate = _replace_factor(d, "left", left_data.paths[l_tuple], left.points)
-        candidate = _replace_factor(candidate, "right", right_data.paths[r_tuple], right.points)
-        moves = candidate.log[len(d.log):]
         delta = node_count
         if delta is None:
-            counts = Counter(fiber_fixed_points(a, b) for a, b in candidate.pairs)
+            counts = Counter(fiber_fixed_points(a, b) for a, b in rows)
             if counts in NODE_COUNT_PATTERNS:
                 delta = 2
         if delta is None:
             reasons.append(f"kummer route {label}: node count of the fixed curve unknown")
             continue
-        try:
-            report = kummer_rigidity(kummer_input_from_catalog(candidate, delta))
-        except (NotInCatalog, MissingFlag) as exc:
-            # only reachable with a stripped-down catalog override
-            reasons.append(f"kummer route {label}: {exc}")
-            continue
+        candidate, moves = _partner(d, l_tuple, r_tuple, rows)
+        report = kummer_rigidity(kummer_input_from_catalog(candidate, delta))
         if report.rigid:
             return Certificate(CertificateKind.RIGID_KUMMER, case, diagram=candidate,
                                moves=moves, kummer_report=report, warnings=warnings)
@@ -226,8 +191,7 @@ def render_certificate(cert: Certificate) -> str:
             move = applied.move
             lines.append(
                 f"move: {applied.side} p={move.p} "
-                f"{''.join(map(str, move.source.indices))} -> "
-                f"{''.join(map(str, move.target.indices))}")
+                f"{index_text(move.source.indices)} -> {index_text(move.target.indices)}")
     if cert.kummer_report is not None:
         report = cert.kummer_report
         lines.append(f"euler: {report.euler}")

@@ -26,7 +26,8 @@ from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from . import catalog
-from .configs import FiberConfig, TOTAL_INDEX, odd_index_count, render_config
+from .configs import (FiberConfig, TOTAL_INDEX, descending, index_text,
+                      odd_index_count, render_config)
 from .errors import MalformedInput, NotInCatalog, NotPrime
 
 CLOSURE_PRIMES = (2, 3, 5)
@@ -100,7 +101,7 @@ def _target_of(indices, p, divided):
 
 
 @lru_cache(maxsize=4096)
-def _move_specs(indices: tuple[int, ...], p: int, entries) -> tuple[_MoveSpec, ...]:
+def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
     total = halved_sum(p)
     if total is None:
         return ()
@@ -115,8 +116,7 @@ def _move_specs(indices: tuple[int, ...], p: int, entries) -> tuple[_MoveSpec, .
             if sum(indices[i] for i in divided) != total:
                 continue
             target = _target_of(indices, p, divided)
-            partition = tuple(sorted(target, reverse=True))
-            if len(partition) <= 5 and catalog.admissible(partition) is catalog.Admissibility.NOT_ADMISSIBLE:
+            if len(target) <= 5 and descending(target) not in catalog.ADMISSIBLE_PARTITIONS:
                 continue  # the 4- and 5-fiber tables are complete, so this quotient cannot exist
             specs.append(_MoveSpec(p, divided, indices, target))
     specs.sort(key=lambda s: (len(s.divided), s.divided))
@@ -136,7 +136,7 @@ def candidate_moves(config: FiberConfig, p: int) -> tuple[IsogenyMove, ...]:
     partition is known not to occur (4 or 5 fibers, absent from the tables)
     are pruned, everything else is kept.
     """
-    specs = _move_specs(config.indices, p, catalog.active_entries())
+    specs = _move_specs(config.indices, p)
     return tuple(_materialize(spec, config.points) for spec in specs)
 
 
@@ -183,12 +183,12 @@ def _class_of(start: tuple[int, ...]):
 
     A literal table row takes its column at the table alignment.  Otherwise
     every value-preserving matching with a row of the column is tried; the
-    transported column is 'resolved' only when all matchings agree.  The
-    62211 column is the one ambiguous case, its two I_2 fibers are not
-    interchangeable.
+    transported column is 'resolved' only when all matchings agree.  Over
+    all compositions the 'ambiguous' starts are position variants of 62211
+    (29), 42222 (4) and 81111 (4): matchings that swap equal indices of the
+    start transport the column to different row sets.
     """
-    partition = tuple(sorted(start, reverse=True))
-    if partition not in catalog.TABLE_PARTITIONS:
+    if descending(start) not in catalog.TABLE_PARTITIONS:
         return "uncovered", ()
     for cls in catalog.ALL_CLASSES:
         if start in cls:
@@ -215,15 +215,14 @@ class _ClosureData(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def _closure_tuples(start: tuple[int, ...], mode: GraphMode, entries) -> _ClosureData:
+def _closure_tuples(start: tuple[int, ...], mode: GraphMode) -> _ClosureData:
     kind, rows = _class_of(start)
     gate = frozenset(rows)
 
     def keep(node):
         if mode is GraphMode.COMBINATORIAL or node == start:
             return True
-        partition = tuple(sorted(node, reverse=True))
-        if partition in catalog.TABLE_PARTITIONS:
+        if descending(node) in catalog.TABLE_PARTITIONS:
             return node in gate if kind != "uncovered" else node in catalog.TABLE_ROWS
         return True
 
@@ -233,7 +232,7 @@ def _closure_tuples(start: tuple[int, ...], mode: GraphMode, entries) -> _Closur
     while queue:
         node = queue.pop(0)
         for p in CLOSURE_PRIMES:
-            for spec in _move_specs(node, p, entries):
+            for spec in _move_specs(node, p):
                 if not keep(spec.target):
                     continue
                 edges[(spec.p, spec.divided, spec.source)] = spec
@@ -266,7 +265,7 @@ def closure(config: FiberConfig, mode: GraphMode = GraphMode.COMBINATORIAL) -> I
     always kept, and gating falls back to literal table rows when the start
     lies outside the tables.
     """
-    data = _closure_tuples(config.indices, mode, catalog.active_entries())
+    data = _closure_tuples(config.indices, mode)
     nodes = tuple(FiberConfig(config.points, t) for t in data.nodes)
     edges = tuple(_materialize(spec, config.points) for spec in data.edges)
     return IsogenyGraph(nodes, edges, mode)
@@ -277,18 +276,17 @@ def catalog_class(config: FiberConfig) -> tuple[FiberConfig, ...]:
 
     Literal table rows take the column at the table alignment; position
     variants are transported when every value-preserving matching agrees.
-    The one ambiguous case, position variants of 62211, is rejected because
-    its two I_2 fibers are not interchangeable.
+    The ambiguous position variants (of 62211, 42222 and 81111, see
+    :func:`_class_of`) are rejected.
     """
-    if catalog.admissible(tuple(sorted(config.indices, reverse=True))) is not catalog.Admissibility.ADMISSIBLE:
-        raise NotInCatalog(f"partition of {render_config(config)} is not admissible")
+    catalog._check_admissible(config.indices, render_config(config))
     kind, rows = _class_of(config.indices)
     if kind == "uncovered":
         raise NotInCatalog(f"{render_config(config)} lies outside the class tables")
     if kind == "ambiguous":
         raise NotInCatalog(
-            f"{render_config(config)} cannot be transported: the distinguished "
-            "I_2 fiber of the 62211 class is not determined by positions")
+            f"{render_config(config)} cannot be transported: the class rows of "
+            f"partition {index_text(descending(config.indices))} are not determined by positions")
     return tuple(FiberConfig(config.points, row) for row in rows)
 
 
@@ -307,9 +305,7 @@ def graph_to_tsv(graph: IsogenyGraph) -> str:
             break
     else:
         tuples.sort()
-    lines = ["".join(map(str, t)) if all(k <= 9 for k in t) else ",".join(map(str, t))
-             for t in tuples]
-    return "\n".join(lines) + "\n"
+    return "\n".join(index_text(t) for t in tuples) + "\n"
 
 
 def graph_to_json(graph: IsogenyGraph) -> str:

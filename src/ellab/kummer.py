@@ -31,6 +31,7 @@ from enum import Enum
 from math import gcd
 
 from .catalog import catalog_lookup
+from .configs import descending
 from .errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
 from .product import ProductDiagram, left_config, right_config
 
@@ -84,6 +85,8 @@ class KummerInput:
     i2_flags: tuple[tuple[str, bool], ...]  # (point label, node_induced), sorted
 
     def __post_init__(self):
+        if self.node_count is not None and self.node_count < 0:
+            raise MalformedInput(f"node count must be non-negative, got {self.node_count}")
         for degrees in (self.left_degrees, self.right_degrees):
             if sum(degrees) != 4:
                 raise MalformedInput(f"branch component degrees must sum to 4: {degrees}")
@@ -108,11 +111,11 @@ def kummer_input_from_catalog(diagram: ProductDiagram, node_count=None) -> Kumme
     flags = {}
     sides = {}
     for side, cfg in (("left", left_config(diagram)), ("right", right_config(diagram))):
-        entry = catalog_lookup(sorted(cfg.indices, reverse=True))
+        partition = descending(cfg.indices)
+        entry = catalog_lookup(partition)
         if entry is None or entry.branch_component_degrees is None:
             raise NotInCatalog(
-                f"no branch component degrees recorded for the {side} factor "
-                f"{tuple(sorted(cfg.indices, reverse=True))}")
+                f"no branch component degrees recorded for the {side} factor {partition}")
         sides[side] = entry
     for pt, (a, b) in zip(diagram.points, diagram.pairs):
         if {a, b} != {2, 0}:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from . import catalog
-from .configs import FiberConfig, TOTAL_INDEX
-from .errors import ConflictingLabels, MalformedInput, NotInCatalog, SideMismatch
+from .configs import FiberConfig, TOTAL_INDEX, descending
+from .errors import ConflictingLabels, MalformedInput, SideMismatch
 from .isogeny import GraphMode, IsogenyMove, _closure_tuples, _materialize
 
 Side = Literal["left", "right"]
@@ -65,15 +65,28 @@ class ProductDiagram:
         return len(self.points)
 
 
+def _project(d: ProductDiagram, side: int):
+    """Points and indices of factor ``side`` (0 left, 1 right): the points
+    where that factor is singular."""
+    kept = [(pt, pair[side]) for pt, pair in zip(d.points, d.pairs) if pair[side]]
+    return tuple(pt for pt, _ in kept), tuple(k for _, k in kept)
+
+
 def left_config(d: ProductDiagram) -> FiberConfig:
     """Left projection: drop the points where the left factor is smooth."""
-    kept = [(pt, a) for pt, (a, _) in zip(d.points, d.pairs) if a > 0]
-    return FiberConfig(tuple(pt for pt, _ in kept), tuple(a for _, a in kept))
+    return FiberConfig(*_project(d, 0))
 
 
 def right_config(d: ProductDiagram) -> FiberConfig:
-    kept = [(pt, b) for pt, (_, b) in zip(d.points, d.pairs) if b > 0]
-    return FiberConfig(tuple(pt for pt, _ in kept), tuple(b for _, b in kept))
+    return FiberConfig(*_project(d, 1))
+
+
+def _admissible_factors(d: ProductDiagram):
+    """Index tuples of the left and right factor, both checked admissible."""
+    factors = _project(d, 0)[1], _project(d, 1)[1]
+    for name, indices in zip(("left factor", "right factor"), factors):
+        catalog._check_admissible(indices, name)
+    return factors
 
 
 def make_product(c1: FiberConfig, c2: FiberConfig, alignment=None) -> ProductDiagram:
@@ -118,89 +131,88 @@ def common_singular_count(d: ProductDiagram) -> int:
     return sum(1 for a, b in d.pairs if a >= 1 and b >= 1)
 
 
+def _obstructions(rows) -> list[tuple[int, int]]:
+    """The pairs of a smooth fiber with I_n for n >= 2 (either side)."""
+    return [(a, b) for a, b in rows if (a == 0 and b >= 2) or (b == 0 and a >= 2)]
+
+
 def is_rigid_criterion(d: ProductDiagram) -> bool:
     """No point pairs a smooth fiber with I_n for n >= 2 (either side)."""
-    return not any((a == 0 and b >= 2) or (b == 0 and a >= 2) for a, b in d.pairs)
+    return not _obstructions(d.pairs)
 
 
 def factors_share_class(d: ProductDiagram) -> bool:
     """Whether the factor partitions lie in one isogeny class (the rigidity
     constructions assume non-isogenous factors; this is a warning, not an error)."""
-    left = tuple(sorted(left_config(d).indices, reverse=True))
-    right = tuple(sorted(right_config(d).indices, reverse=True))
-    for cls in catalog.ALL_CLASSES:
-        partitions = {tuple(sorted(row, reverse=True)) for row in cls}
-        if left in partitions and right in partitions:
-            return True
-    return False
+    left = catalog.CLASS_INDEX.get(descending(_project(d, 0)[1]))
+    return left is not None and left == catalog.CLASS_INDEX.get(descending(_project(d, 1)[1]))
 
 
 def apply_move(d: ProductDiagram, side: Side, move: IsogenyMove) -> ProductDiagram:
     """Replace one factor by the move target; the move is recorded in the log."""
     if side not in ("left", "right"):
         raise MalformedInput(f"side must be 'left' or 'right', got {side!r}")
-    current = left_config(d) if side == "left" else right_config(d)
+    factors = {"left": left_config(d), "right": right_config(d)}
+    current = factors[side]
     if current != move.source:
         raise SideMismatch(
             f"{side} factor is {current.indices} over {current.points}, "
             f"move starts from {move.source.indices} over {move.source.points}")
-    new_index = dict(zip(move.target.points, move.target.indices))
-    pairs = []
-    for pt, (a, b) in zip(d.points, d.pairs):
-        if side == "left":
-            pairs.append((new_index.get(pt, 0) if a > 0 else 0, b))
-        else:
-            pairs.append((a, new_index.get(pt, 0) if b > 0 else 0))
-    return ProductDiagram(d.points, tuple(pairs), d.log + (AppliedMove(side, move),))
+    factors[side] = move.target
+    pairs = _pair_rows(d.pairs, factors["left"].indices, factors["right"].indices)
+    return ProductDiagram(d.points, pairs, d.log + (AppliedMove(side, move),))
 
 
-def _pair_rows(d, left_tuple, right_tuple):
+def _pair_rows(pairs, left_tuple, right_tuple):
     """Per-point (a, b) pairs after substituting factor representatives."""
     left_slots = iter(left_tuple)
     right_slots = iter(right_tuple)
     return tuple(
         (next(left_slots) if a > 0 else 0, next(right_slots) if b > 0 else 0)
-        for a, b in d.pairs
+        for a, b in pairs
     )
 
 
-def _rigid_rows(rows) -> bool:
-    return not any((a == 0 and b >= 2) or (b == 0 and a >= 2) for a, b in rows)
+def _representatives(d: ProductDiagram):
+    """(left tuple, right tuple, rows) for the pairs of representatives of
+    the factors' gated classes: the input pair first, then the others in
+    descending lexicographic order.  Isogenies keep singular fibers in
+    place, so ``rows`` substitutes the representatives position-wise."""
+    left, right = _project(d, 0)[1], _project(d, 1)[1]
+    yield left, right, d.pairs
+    # closure nodes are sorted ascending
+    left_nodes = _closure_tuples(left, GraphMode.CATALOG_GATED).nodes
+    right_nodes = _closure_tuples(right, GraphMode.CATALOG_GATED).nodes
+    for l_tuple in reversed(left_nodes):
+        for r_tuple in reversed(right_nodes):
+            if (l_tuple, r_tuple) != (left, right):
+                yield l_tuple, r_tuple, _pair_rows(d.pairs, l_tuple, r_tuple)
 
 
-def _replace_factor(d, side, path, points):
-    for spec in path:
-        d = apply_move(d, side, _materialize(spec, points))
-    return d
+def _partner(d: ProductDiagram, l_tuple, r_tuple, rows):
+    """The diagram of one representative pair and the moves reaching it
+    from ``d``: the left factor's closure path, then the right one's."""
+    moves = []
+    for side, index, target in (("left", 0, l_tuple), ("right", 1, r_tuple)):
+        points, indices = _project(d, index)
+        path = _closure_tuples(indices, GraphMode.CATALOG_GATED).paths[target]
+        moves += [AppliedMove(side, _materialize(spec, points)) for spec in path]
+    moves = tuple(moves)
+    return ProductDiagram(d.points, rows, d.log + moves), moves
 
 
 def find_rigid_partner(d: ProductDiagram):
     """Search the gated closures of both factors for a rigid product.
 
-    Isogenies keep singular fibers in place, so representatives are
-    substituted position-wise.  The input itself is checked first; after
-    that candidate pairs are enumerated in descending lexicographic order
-    of (left representative, right representative).  Returns the partner
-    diagram and the applied move path, or None.
+    The input itself is checked first; after that candidate pairs are
+    enumerated in descending lexicographic order of (left representative,
+    right representative).  Returns the partner diagram and the applied
+    move path, or None.
     """
-    left = left_config(d)
-    right = right_config(d)
-    for cfg in (left, right):
-        partition = tuple(sorted(cfg.indices, reverse=True))
-        if catalog.admissible(partition) is not catalog.Admissibility.ADMISSIBLE:
-            raise NotInCatalog(f"factor partition {partition} is not admissible")
-    if is_rigid_criterion(d):
-        return d, ()
-    entries = catalog.active_entries()
-    left_data = _closure_tuples(left.indices, GraphMode.CATALOG_GATED, entries)
-    right_data = _closure_tuples(right.indices, GraphMode.CATALOG_GATED, entries)
-    for l_tuple in sorted(left_data.nodes, reverse=True):
-        for r_tuple in sorted(right_data.nodes, reverse=True):
-            if not _rigid_rows(_pair_rows(d, l_tuple, r_tuple)):
-                continue
-            partner = _replace_factor(d, "left", left_data.paths[l_tuple], left.points)
-            partner = _replace_factor(partner, "right", right_data.paths[r_tuple], right.points)
-            moves = partner.log[len(d.log):]
+    _admissible_factors(d)
+    for l_tuple, r_tuple, rows in _representatives(d):
+        if not _obstructions(rows):
+            partner, moves = _partner(d, l_tuple, r_tuple, rows)
             assert is_rigid_criterion(partner)
             return partner, moves
     return None

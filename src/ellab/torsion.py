@@ -22,7 +22,7 @@ from itertools import combinations
 from math import prod
 
 from . import catalog
-from .configs import FiberConfig, odd_index_count, partition_of
+from .configs import FiberConfig, descending, odd_index_count, partition_of
 from .errors import NotPrime, TorsionContradiction, UnsupportedPrime
 from .isogeny import _is_prime, _move_specs
 
@@ -118,9 +118,9 @@ def _table_move_partitions() -> frozenset[tuple[tuple[int, ...], int]]:
         rows = set(cls)
         for row in cls:
             for p in SUPPORTED_PRIMES:
-                for spec in _move_specs(row, p, catalog.EMBEDDED_ENTRIES):
+                for spec in _move_specs(row, p):
                     if spec.target in rows:
-                        attested.add((tuple(sorted(row, reverse=True)), p))
+                        attested.add((descending(row), p))
     return frozenset(attested)
 
 
@@ -142,7 +142,7 @@ def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
     no = []
     if p == 2 and excludes_two_torsion(config):
         no.append(Provenance.NECESSARY_CRITERION)
-    if not _move_specs(config.indices, p, catalog.active_entries()):
+    if not _move_specs(config.indices, p):
         no.append(Provenance.MOVE_NONEXISTENCE)
     if yes and no:
         raise TorsionContradiction(

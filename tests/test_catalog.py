@@ -122,16 +122,12 @@ def test_json_round_trip_byte_stable():
     assert first == second
 
 
-def test_env_override(tmp_path, monkeypatch):
-    entries = [e for e in catalog.EMBEDDED_ENTRIES if e.partition != (4, 4, 2, 2)]
-    path = tmp_path / "catalog.json"
-    path.write_text(export_catalog(entries))
-    monkeypatch.setenv(catalog.CATALOG_ENV_VAR, str(path))
-    assert admissible((4, 4, 2, 2)) is Admissibility.NOT_ADMISSIBLE
-    assert catalog_lookup((4, 4, 2, 2)) is None
-    monkeypatch.delenv(catalog.CATALOG_ENV_VAR)
-    assert admissible((4, 4, 2, 2)) is Admissibility.ADMISSIBLE
-
-
 def test_class_tables_cover_exactly_the_admissible_partitions():
     assert catalog.TABLE_PARTITIONS == ADMISSIBLE_4 | ADMISSIBLE_5
+    assert catalog.ADMISSIBLE_PARTITIONS == ADMISSIBLE_4 | ADMISSIBLE_5
+
+
+def test_class_index_maps_every_row_to_its_class():
+    for i, cls in enumerate(catalog.ALL_CLASSES):
+        for row in cls:
+            assert catalog.CLASS_INDEX[tuple(sorted(row, reverse=True))] == i

@@ -137,6 +137,14 @@ def test_kummer_default_delta(capsys):
     assert payload["euler"] == 12
 
 
+def test_negative_delta_exit_2(capsys):
+    for argv in (("kummer", WORKED, "--delta", "-40"), ("certify", WORKED, "--delta", "-5")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "node count must be non-negative" in err
+
+
 def test_certify_worked_example(capsys):
     code, out, _ = run(capsys, "certify", WORKED)
     assert code == 0
@@ -161,23 +169,10 @@ def test_certify_hypotheses_not_met_exit_2(capsys):
     assert code == 2
 
 
-def test_env_catalog_override(capsys, tmp_path, monkeypatch):
-    entries = [e for e in catalog.EMBEDDED_ENTRIES if e.partition != (9, 1, 1, 1)]
-    path = tmp_path / "catalog.json"
-    path.write_text(catalog.export_catalog(entries))
-    monkeypatch.setenv(catalog.CATALOG_ENV_VAR, str(path))
-    code, out, _ = run(capsys, "catalog", "9111")
-    assert code == 1
-    # without the 9111 partition the 3333 closure collapses to the start
-    code, out, _ = run(capsys, "class", "3333")
-    assert out == "3333\n"
-
-
 def test_module_entry_point():
     import os
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-    env.pop(catalog.CATALOG_ENV_VAR, None)
     result = subprocess.run(
         [sys.executable, "-m", "ellab", "class", "5511"],
         capture_output=True, text=True, env=env,

@@ -202,8 +202,12 @@ def test_catalog_class_transports_unambiguous_variants():
 
 
 def test_catalog_class_rejects_ambiguous_62211_variant():
-    with pytest.raises(NotInCatalog):
-        catalog_class(cfg((2, 6, 2, 1, 1)))
+    # position variants of 42222 and 81111 are ambiguous as well; the
+    # message names the input's own partition
+    for indices, partition in (((2, 6, 2, 1, 1), "62211"), ((2, 4, 2, 2, 2), "42222"),
+                               ((8, 1, 1, 1, 1), "81111")):
+        with pytest.raises(NotInCatalog, match=f"partition {partition} are not determined"):
+            catalog_class(cfg(indices))
 
 
 def test_catalog_class_rejects_inadmissible():
