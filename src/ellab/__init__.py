@@ -3,7 +3,7 @@ certificates for Calabi-Yau fiber products."""
 
 from .catalog import (Admissibility, CatalogEntry, FOUR_FIBER_CLASSES,
                       FIVE_FIBER_CLASSES, admissible, catalog_lookup,
-                      export_catalog, import_catalog)
+                      export_catalog)
 from .configs import FiberConfig, parse_config, partition_of, render_config
 from .correspondence import (CaseKind, Certificate, CertificateKind,
                              HypothesisCase, certificate_to_json, certify,

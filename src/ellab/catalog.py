@@ -179,23 +179,6 @@ def _entry_to_dict(entry: CatalogEntry) -> dict:
     }
 
 
-def _entry_from_dict(record: dict) -> CatalogEntry:
-    try:
-        partition = tuple(int(k) for k in record["partition"])
-    except (KeyError, TypeError, ValueError):
-        raise MalformedInput(f"catalog record without a valid partition: {record!r}") from None
-    degrees = record.get("degrees")
-    distinguished = record.get("distinguished")
-    return CatalogEntry(
-        partition=partition,
-        modular_group_name=record.get("group"),
-        quartic_equation=record.get("quartic"),
-        branch_component_degrees=tuple(degrees) if degrees is not None else None,
-        i2_node_induced=record.get("i2_node_induced"),
-        distinguished_positions=tuple(distinguished) if distinguished is not None else None,
-    )
-
-
 def canonical_order(entries) -> tuple[CatalogEntry, ...]:
     """Fiber count ascending, then partition descending (9111 before 3333)."""
     return tuple(sorted(entries, key=lambda e: (len(e.partition), tuple(-k for k in e.partition))))
@@ -208,13 +191,3 @@ def export_catalog(entries=None) -> str:
     records = [_entry_to_dict(e) for e in canonical_order(entries)]
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
 
-
-def import_catalog(text: str) -> tuple[CatalogEntry, ...]:
-    """Parse a JSON catalog document produced by :func:`export_catalog`."""
-    try:
-        records = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"catalog is not valid JSON: {exc}") from None
-    if not isinstance(records, list):
-        raise MalformedInput("catalog JSON must be an array of entries")
-    return canonical_order(_entry_from_dict(record) for record in records)

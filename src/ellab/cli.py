@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import catalog
-from .configs import index_text, parse_config, partition_of
+from .configs import FiberConfig, index_text, parse_config, partition_of
 from .correspondence import (CertificateKind, certificate_to_json, certify,
                              render_certificate)
 from .errors import EllabError, MalformedInput
@@ -98,9 +98,9 @@ def _parse_alignment(spec, left, right):
 
 def _cmd_product(args) -> int:
     left = parse_config(args.left)
+    right = parse_config(args.right)
     # fresh labels on the right so only the alignment identifies points
-    count = len(parse_config(args.right))
-    right = parse_config(args.right, labels=[f"Q{i}" for i in range(1, count + 1)])
+    right = FiberConfig([f"Q{i}" for i in range(1, len(right) + 1)], right.indices)
     if args.align:
         alignment = _parse_alignment(args.align, left, right)
     else:

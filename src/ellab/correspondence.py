@@ -11,28 +11,27 @@ Two hypothesis cases are supported:
 Certification first searches the factor classes for a rigid fiber-product
 partner.  When that fails, the only possible leftover obstruction is a lone
 I_2 x I_0 fiber; if the five-fiber factor of a representative pair with that
-obstruction is one of 33321, 44211, 62211 (the partitions with a quartic
-model whose I_2 fibers come from nodes), the fiberwise Kummer quotient of
-that pair is tested for rigidity.  Anything else is honestly NotCertified.
+obstruction has branch component degrees in the catalog (today 33321,
+44211 and 62211, the partitions with a quartic model whose I_2 fibers come
+from nodes), the fiberwise Kummer quotient of that pair is tested for
+rigidity.  Anything else is honestly NotCertified.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
+from .catalog import catalog_lookup
 from .configs import descending, index_text
 from .errors import HypothesesNotMet, MalformedInput
-from .kummer import (KummerReport, NODE_COUNT_PATTERNS, fiber_fixed_points,
-                     kummer_input_from_catalog, kummer_rigidity, report_to_json)
+from .kummer import (KummerReport, _lone_i2_obstruction, _node_count,
+                     _report_payload, kummer_input_from_catalog, kummer_rigidity)
 from .product import (AppliedMove, ProductDiagram, _admissible_factors,
-                      _move_record, _obstructions, _partner, _representatives,
+                      _move_record, _partner, _representatives,
                       common_singular_count, factors_share_class,
                       find_rigid_partner, render_diagram)
-
-KUMMER_PARTITIONS = frozenset({(3, 3, 3, 2, 1), (4, 4, 2, 1, 1), (6, 2, 2, 1, 1)})
 
 
 class CaseKind(Enum):
@@ -109,9 +108,9 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
 
     The rigid-partner search runs first.  The Kummer route then tries every
     representative pair whose sole obstruction is one I_2 x I_0 fiber with
-    the five-fiber factor in scope; delta defaults to 2 only when the
-    fixed-point multiset matches a reference pattern, otherwise an explicit
-    ``node_count`` is required.
+    the five-fiber factor in scope (its catalog entry records branch component
+    degrees); without ``node_count`` the delta rule of :mod:`ellab.kummer`
+    decides, and a pair it leaves unknown is skipped with a reason.
     """
     if node_count is not None and node_count < 0:
         raise MalformedInput(f"node count must be non-negative, got {node_count}")
@@ -134,20 +133,16 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
         return Certificate(CertificateKind.NOT_CERTIFIED, case,
                            reasons=tuple(reasons), warnings=warnings)
     for l_tuple, r_tuple, rows in _representatives(d):
-        if _obstructions(rows) not in ([(2, 0)], [(0, 2)]):
+        if not _lone_i2_obstruction(rows):
             continue
         five_partition = descending(l_tuple if len(l_tuple) == 5 else r_tuple)
         label = f"{index_text(l_tuple)} x {index_text(r_tuple)}"
-        if five_partition not in KUMMER_PARTITIONS:
+        if catalog_lookup(five_partition).branch_component_degrees is None:
             reasons.append(
                 f"kummer route {label}: five-fiber partition {five_partition} has no "
                 "quartic model with node-induced I_2 fibers")
             continue
-        delta = node_count
-        if delta is None:
-            counts = Counter(fiber_fixed_points(a, b) for a, b in rows)
-            if counts in NODE_COUNT_PATTERNS:
-                delta = 2
+        delta = _node_count(rows, node_count)
         if delta is None:
             reasons.append(f"kummer route {label}: node count of the fixed curve unknown")
             continue
@@ -175,7 +170,7 @@ def certificate_to_json(cert: Certificate) -> str:
         },
         "moves": [_move_record(applied) for applied in cert.moves],
         "kummer": None if cert.kummer_report is None
-        else json.loads(report_to_json(cert.kummer_report)),
+        else _report_payload(cert.kummer_report),
         "reasons": list(cert.reasons),
         "warnings": list(cert.warnings),
     }

@@ -18,8 +18,14 @@ equisingular deformations vanish exactly when every I_2 x I_0 fiber comes
 from a node (not a double tangent) of the defining quartic.  Rigid means
 both spaces vanish.
 
-No general rule for delta is known to this package; it defaults to 2 only
-for the two reference diagrams below and must be supplied otherwise.
+No general rule for delta is known to this package.  It defaults to 2 for
+a diagram shaped like the two reference diagrams, the worked examples
+4,4,2,1,1 / 6,2,_,3,1 and 3,3,2,3,1 / 8,2,_,1,1 whose fixed curves are
+known to acquire exactly two nodes: its only smooth fiber paired with an
+I_n, n >= 2, is one I_2 x I_0 fiber (the shape the Kummer route handles),
+and its multiset of fixed-point counts equals a reference diagram's.
+Otherwise delta must be supplied.  Neither condition depends on the order
+of the two factors.  Certification and the report use this one rule.
 """
 
 from __future__ import annotations
@@ -33,17 +39,10 @@ from math import gcd
 from .catalog import catalog_lookup
 from .configs import descending
 from .errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
-from .product import ProductDiagram, left_config, right_config
+from .product import ProductDiagram, _obstructions, _project
 
-# Pair multisets of the two reference products whose fixed curves are known
-# to acquire exactly two nodes.
-_REFERENCE_PAIRS = (
-    Counter({(4, 6): 1, (4, 2): 1, (2, 0): 1, (1, 3): 1, (1, 1): 1}),
-    Counter({(3, 8): 1, (3, 2): 1, (2, 0): 1, (3, 1): 1, (1, 1): 1}),
-)
-
-# Fixed-point multisets of the same two diagrams; used by the certification
-# layer to decide when the default delta=2 applies.
+# Fixed-point multisets of the two reference diagrams, in the order of the
+# module docstring.
 NODE_COUNT_PATTERNS = (
     Counter((16, 16, 16, 9, 9)),
     Counter((12, 12, 16, 9, 9)),
@@ -66,14 +65,26 @@ def fiber_fixed_points(a: int, b: int) -> int:
     return (3 if a % 2 else 4) * (3 if b % 2 else 4)
 
 
+def _lone_i2_obstruction(pairs) -> bool:
+    """Whether the only rigidity obstruction of ``pairs`` is one I_2 x I_0 fiber."""
+    return _obstructions(pairs) in ([(2, 0)], [(0, 2)])
+
+
+def _node_count(pairs, node_count=None) -> int | None:
+    """The delta rule: ``node_count`` when given, else 2 when ``pairs`` have
+    a lone I_2 x I_0 obstruction and a reference fixed-point multiset, else None."""
+    if node_count is not None:
+        return node_count
+    if not _lone_i2_obstruction(pairs):
+        return None
+    counts = Counter(fiber_fixed_points(a, b) for a, b in pairs)
+    return 2 if counts in NODE_COUNT_PATTERNS else None
+
+
 def default_node_count(diagram: ProductDiagram) -> int | None:
-    """2 for the two reference diagrams (either side order), else None."""
-    pairs = Counter(diagram.pairs)
-    swapped = Counter((b, a) for a, b in diagram.pairs)
-    for reference in _REFERENCE_PAIRS:
-        if pairs == reference or swapped == reference:
-            return 2
-    return None
+    """2 when the diagram is shaped like a reference diagram (see the module
+    docstring), else None."""
+    return _node_count(diagram.pairs)
 
 
 @dataclass(frozen=True)
@@ -108,43 +119,30 @@ def make_kummer_input(diagram, left_degrees, right_degrees, i2_flags=None,
 
 def kummer_input_from_catalog(diagram: ProductDiagram, node_count=None) -> KummerInput:
     """Fill degrees and node flags from the catalog entries of the factors."""
-    flags = {}
-    sides = {}
-    for side, cfg in (("left", left_config(diagram)), ("right", right_config(diagram))):
-        partition = descending(cfg.indices)
+    entries = []
+    for index, side in enumerate(("left", "right")):
+        partition = descending(_project(diagram, index)[1])
         entry = catalog_lookup(partition)
         if entry is None or entry.branch_component_degrees is None:
             raise NotInCatalog(
                 f"no branch component degrees recorded for the {side} factor {partition}")
-        sides[side] = entry
+        entries.append(entry)
+    left, right = entries
+    flags = {}
     for pt, (a, b) in zip(diagram.points, diagram.pairs):
         if {a, b} != {2, 0}:
             continue
-        entry = sides["left"] if a == 2 else sides["right"]
+        entry = left if a == 2 else right
         if entry.i2_node_induced is None:
             raise MissingFlag(f"catalog records no node flag for point {pt}")
         flags[pt] = entry.i2_node_induced
-    return make_kummer_input(diagram,
-                             sides["left"].branch_component_degrees,
-                             sides["right"].branch_component_degrees,
-                             flags, node_count)
-
-
-def _resolve_node_count(inp: KummerInput) -> int:
-    if inp.node_count is not None:
-        return inp.node_count
-    count = default_node_count(inp.diagram)
-    if count is None:
-        raise MissingNodeCount(
-            "node count of the fixed curve is not known for this diagram; supply it")
-    return count
+    return make_kummer_input(diagram, left.branch_component_degrees,
+                             right.branch_component_degrees, flags, node_count)
 
 
 def branch_curve_euler(inp: KummerInput) -> int:
-    """Euler number of the resolved fixed curve."""
-    diagram = inp.diagram
-    fixed = sum(fiber_fixed_points(a, b) for a, b in diagram.pairs)
-    return 16 * (2 - diagram.singular_count) + fixed + _resolve_node_count(inp)
+    """Euler number of the resolved fixed curve (the report's ``euler``)."""
+    return kummer_rigidity(inp).euler
 
 
 def component_interval(left_degrees, right_degrees) -> tuple[int, int]:
@@ -204,9 +202,12 @@ class KummerReport:
 def kummer_rigidity(inp: KummerInput) -> KummerReport:
     """Assemble the full report; rigid iff both deformation spaces vanish."""
     diagram = inp.diagram
+    node_count = _node_count(diagram.pairs, inp.node_count)
+    if node_count is None:
+        raise MissingNodeCount(
+            "node count of the fixed curve is not known for this diagram; supply it")
     fixed_counts = tuple(fiber_fixed_points(a, b) for a, b in diagram.pairs)
-    node_count = _resolve_node_count(inp)
-    euler = branch_curve_euler(inp)
+    euler = 16 * (2 - diagram.singular_count) + sum(fixed_counts) + node_count
     c_min, c_max = component_interval(inp.left_degrees, inp.right_degrees)
     rationality = rationality_verdict(euler, c_min, c_max)
     equisingular = equisingular_zero(inp)
@@ -225,8 +226,9 @@ def kummer_rigidity(inp: KummerInput) -> KummerReport:
     )
 
 
-def report_to_json(report: KummerReport) -> str:
-    payload = {
+def _report_payload(report: KummerReport) -> dict:
+    """The JSON object of a report, also nested in certificate JSON."""
+    return {
         "schema": 1,
         "points": list(report.points),
         "fixed_counts": list(report.fixed_counts),
@@ -238,7 +240,10 @@ def report_to_json(report: KummerReport) -> str:
         "transversal_zero": report.transversal_zero,
         "rigid": report.rigid,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def report_to_json(report: KummerReport) -> str:
+    return json.dumps(_report_payload(report), indent=2, sort_keys=True) + "\n"
 
 
 def render_report(report: KummerReport) -> str:

@@ -226,6 +226,13 @@ def test_criterion_5b_case_b_sweep():
         assert _golden(results) == (CASE_B_SHA256, {
             "RigidProductPartner": 13872, "RigidKummer": 1720,
             "NotCertified": 5216, "NotApplicable": 1632})
+        # the kummer layer re-derives every Kummer certificate with its own
+        # default node count
+        for diagram, cert in results:
+            if not isinstance(cert, HypothesesNotMet) \
+                    and cert.kind is CertificateKind.RIGID_KUMMER:
+                report = kummer_rigidity(kummer_input_from_catalog(cert.diagram))
+                assert report == cert.kummer_report, diagram.pairs
 
 
 # ---------------------------------------------------------------- criterion 6

@@ -1,8 +1,7 @@
 import pytest
 
 from ellab import catalog
-from ellab.catalog import (Admissibility, admissible, catalog_lookup,
-                           export_catalog, import_catalog)
+from ellab.catalog import Admissibility, admissible, catalog_lookup
 from ellab.errors import SumNot12, TooFewFibers
 
 
@@ -114,12 +113,6 @@ def test_lookup_absent():
 
 def test_lookup_accepts_any_order():
     assert catalog_lookup((1, 2, 3, 6)).partition == (6, 3, 2, 1)
-
-
-def test_json_round_trip_byte_stable():
-    first = export_catalog()
-    second = export_catalog(import_catalog(first))
-    assert first == second
 
 
 def test_class_tables_cover_exactly_the_admissible_partitions():

@@ -137,6 +137,16 @@ def test_kummer_default_delta(capsys):
     assert payload["euler"] == 12
 
 
+def test_kummer_default_delta_matches_certify(capsys):
+    diagram = "3,3,3,3,_ / 4,4,1,1,2"
+    code, out, _ = run(capsys, "kummer", diagram)
+    assert code == 0
+    assert "euler: 12\n" in out and "rigid: true\n" in out
+    code, out, _ = run(capsys, "certify", diagram)
+    assert code == 0
+    assert "kind: RigidKummer\n" in out and "euler: 12\n" in out
+
+
 def test_negative_delta_exit_2(capsys):
     for argv in (("kummer", WORKED, "--delta", "-40"), ("certify", WORKED, "--delta", "-5")):
         code, out, err = run(capsys, *argv)

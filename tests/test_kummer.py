@@ -45,6 +45,11 @@ def test_default_node_count():
     assert default_node_count(DIAGRAM_B) == 2
     swapped = ProductDiagram(DIAGRAM_A.points, tuple((b, a) for a, b in DIAGRAM_A.pairs))
     assert default_node_count(swapped) == 2
+    # same fixed-point multiset as the second reference diagram, other pairs
+    assert default_node_count(parse_diagram("3,3,3,3,_ / 4,4,1,1,2")) == 2
+    # that multiset again, but the lone obstruction is I_4 x I_0, or none
+    assert default_node_count(parse_diagram("3,3,3,3,_ / 4,2,1,1,4")) is None
+    assert default_node_count(parse_diagram("8,2,1,1,_ / 3,2,3,3,1")) is None
     other = parse_diagram("3,3,3,2,1 / 3,3,3,_,3")
     assert default_node_count(other) is None
 
