@@ -22,11 +22,10 @@ rather than guessing; the tables cover 4 and 5 fibers only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .configs import MIN_FIBERS, TOTAL_INDEX, descending, index_text
+from .configs import MIN_FIBERS, TOTAL_INDEX, _canonical_json, descending, index_text
 from .errors import MalformedInput, NotInCatalog, SumNot12, TooFewFibers
 
 
@@ -189,5 +188,5 @@ def export_catalog(entries=None) -> str:
     if entries is None:
         entries = EMBEDDED_ENTRIES
     records = [_entry_to_dict(e) for e in canonical_order(entries)]
-    return json.dumps(records, indent=2, sort_keys=True) + "\n"
+    return _canonical_json(records)
 

@@ -8,11 +8,10 @@ Thin wrappers over the library, with byte-stable output.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import catalog
-from .configs import FiberConfig, index_text, parse_config, partition_of
+from .configs import FiberConfig, _canonical_json, index_text, parse_config, partition_of
 from .correspondence import (CertificateKind, certificate_to_json, certify,
                              render_certificate)
 from .errors import EllabError, MalformedInput
@@ -64,7 +63,7 @@ def _cmd_torsion(args) -> int:
             "answer": str(status.answer),
             "provenances": [str(p) for p in status.provenances],
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_canonical_json(payload))
     else:
         print(status)
     return 0

@@ -9,6 +9,7 @@ labels are opaque identifiers, no coordinates are modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import MalformedInput, SumNot12, TooFewFibers
 
@@ -101,3 +102,73 @@ def partition_of(config: FiberConfig) -> tuple[int, ...]:
 
 def odd_index_count(indices) -> int:
     return sum(1 for k in indices if k % 2)
+
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _canonical_json(value) -> str:
+    """The package's one JSON writer: two-space indent, sorted keys, ASCII
+    escapes and a final newline, byte-equal to the standard library's
+    encoder called with ``indent=2, sort_keys=True``.
+
+    It takes exactly dict (str keys), list, str, int, bool and None; any
+    other value or key raises TypeError rather than diverging.  With an
+    indent the standard encoder runs in pure Python and costs nearly as much
+    as the certification it serializes.
+    """
+    out = []
+    _emit_json(value, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit_json(value, out, newline):
+    """Append ``value`` to ``out``; ``newline`` carries the current indent.
+    Scalar members are written in place, without a recursive call."""
+    kind = type(value)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(value))
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            scalar = _JSON_SCALARS.get(type(item))
+            if scalar is None:
+                _emit_json(item, out, inner)
+            else:
+                out.append(scalar(item))
+            separator = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            item = value[key]
+            scalar = _JSON_SCALARS.get(type(item))
+            if scalar is None:
+                _emit_json(item, out, inner)
+            else:
+                out.append(scalar(item))
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

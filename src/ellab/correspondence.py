@@ -19,12 +19,11 @@ rigidity.  Anything else is honestly NotCertified.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import catalog_lookup
-from .configs import descending, index_text
+from .configs import _canonical_json, descending, index_text
 from .errors import HypothesesNotMet, MalformedInput
 from .kummer import (KummerReport, _lone_i2_obstruction, _node_count,
                      _report_payload, kummer_input_from_catalog, kummer_rigidity)
@@ -174,7 +173,7 @@ def certificate_to_json(cert: Certificate) -> str:
         "reasons": list(cert.reasons),
         "warnings": list(cert.warnings),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _canonical_json(payload)
 
 
 def render_certificate(cert: Certificate) -> str:

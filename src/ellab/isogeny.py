@@ -17,7 +17,6 @@ components.  The embedded class tables resolve that ambiguity, and
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -26,8 +25,8 @@ from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from . import catalog
-from .configs import (FiberConfig, TOTAL_INDEX, descending, index_text,
-                      odd_index_count, render_config)
+from .configs import (FiberConfig, TOTAL_INDEX, _canonical_json, descending,
+                      index_text, odd_index_count, render_config)
 from .errors import MalformedInput, NotInCatalog, NotPrime
 
 CLOSURE_PRIMES = (2, 3, 5)
@@ -41,10 +40,32 @@ class GraphMode(Enum):
         return self.value
 
 
+_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (the primes up to 37 alone pass the composite 318,665,857,834,031,151,167,461).
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
+    """Deterministic Miller-Rabin; p at or above PRIME_TEST_BOUND is an input error."""
+    if p <= 41:
+        return p in _SMALL_PRIMES
+    if p >= PRIME_TEST_BOUND:
+        raise MalformedInput(f"prime argument must be below {PRIME_TEST_BOUND}, got {p}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def halved_sum(p: int) -> int | None:
@@ -326,4 +347,4 @@ def graph_to_json(graph: IsogenyGraph) -> str:
             for move in graph.edges
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _canonical_json(payload)

@@ -30,16 +30,15 @@ of the two factors.  Certification and the report use this one rule.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
 from .catalog import catalog_lookup
-from .configs import descending
+from .configs import _canonical_json, descending
 from .errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
-from .product import ProductDiagram, _obstructions, _project
+from .product import ProductDiagram, _factors, _obstructions
 
 # Fixed-point multisets of the two reference diagrams, in the order of the
 # module docstring.
@@ -120,8 +119,8 @@ def make_kummer_input(diagram, left_degrees, right_degrees, i2_flags=None,
 def kummer_input_from_catalog(diagram: ProductDiagram, node_count=None) -> KummerInput:
     """Fill degrees and node flags from the catalog entries of the factors."""
     entries = []
-    for index, side in enumerate(("left", "right")):
-        partition = descending(_project(diagram, index)[1])
+    for side, indices in zip(("left", "right"), _factors(diagram)):
+        partition = descending(indices)
         entry = catalog_lookup(partition)
         if entry is None or entry.branch_component_degrees is None:
             raise NotInCatalog(
@@ -243,7 +242,7 @@ def _report_payload(report: KummerReport) -> dict:
 
 
 def report_to_json(report: KummerReport) -> str:
-    return json.dumps(_report_payload(report), indent=2, sort_keys=True) + "\n"
+    return _canonical_json(_report_payload(report))
 
 
 def render_report(report: KummerReport) -> str:

@@ -10,12 +10,11 @@ criterion is applied symmetrically in the two factors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Literal
 
 from . import catalog
-from .configs import FiberConfig, TOTAL_INDEX, descending
+from .configs import FiberConfig, TOTAL_INDEX, _canonical_json, descending
 from .errors import ConflictingLabels, MalformedInput, SideMismatch
 from .isogeny import GraphMode, IsogenyMove, _closure_tuples, _materialize
 
@@ -68,8 +67,20 @@ class ProductDiagram:
 def _project(d: ProductDiagram, side: int):
     """Points and indices of factor ``side`` (0 left, 1 right): the points
     where that factor is singular."""
-    kept = [(pt, pair[side]) for pt, pair in zip(d.points, d.pairs) if pair[side]]
-    return tuple(pt for pt, _ in kept), tuple(k for _, k in kept)
+    points = [pt for pt, pair in zip(d.points, d.pairs) if pair[side]]
+    indices = [pair[side] for pair in d.pairs if pair[side]]
+    return tuple(points), tuple(indices)
+
+
+def _factors(d: ProductDiagram):
+    """Index tuples of the left and right factor, in one pass over the pairs."""
+    left, right = [], []
+    for a, b in d.pairs:
+        if a:
+            left.append(a)
+        if b:
+            right.append(b)
+    return tuple(left), tuple(right)
 
 
 def left_config(d: ProductDiagram) -> FiberConfig:
@@ -83,7 +94,7 @@ def right_config(d: ProductDiagram) -> FiberConfig:
 
 def _admissible_factors(d: ProductDiagram):
     """Index tuples of the left and right factor, both checked admissible."""
-    factors = _project(d, 0)[1], _project(d, 1)[1]
+    factors = _factors(d)
     for name, indices in zip(("left factor", "right factor"), factors):
         catalog._check_admissible(indices, name)
     return factors
@@ -144,8 +155,9 @@ def is_rigid_criterion(d: ProductDiagram) -> bool:
 def factors_share_class(d: ProductDiagram) -> bool:
     """Whether the factor partitions lie in one isogeny class (the rigidity
     constructions assume non-isogenous factors; this is a warning, not an error)."""
-    left = catalog.CLASS_INDEX.get(descending(_project(d, 0)[1]))
-    return left is not None and left == catalog.CLASS_INDEX.get(descending(_project(d, 1)[1]))
+    left, right = _factors(d)
+    left_class = catalog.CLASS_INDEX.get(descending(left))
+    return left_class is not None and left_class == catalog.CLASS_INDEX.get(descending(right))
 
 
 def apply_move(d: ProductDiagram, side: Side, move: IsogenyMove) -> ProductDiagram:
@@ -178,7 +190,7 @@ def _representatives(d: ProductDiagram):
     the factors' gated classes: the input pair first, then the others in
     descending lexicographic order.  Isogenies keep singular fibers in
     place, so ``rows`` substitutes the representatives position-wise."""
-    left, right = _project(d, 0)[1], _project(d, 1)[1]
+    left, right = _factors(d)
     yield left, right, d.pairs
     # closure nodes are sorted ascending
     left_nodes = _closure_tuples(left, GraphMode.CATALOG_GATED).nodes
@@ -270,4 +282,4 @@ def diagram_to_json(d: ProductDiagram) -> str:
         "pairs": [list(pair) for pair in d.pairs],
         "log": [_move_record(applied) for applied in d.log],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _canonical_json(payload)

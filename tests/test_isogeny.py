@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,7 @@ from ellab.catalog import (ALL_CLASSES, Admissibility, FIVE_FIBER_CLASSES,
                            FOUR_FIBER_CLASSES, admissible)
 from ellab.configs import FiberConfig, default_points, parse_config
 from ellab.errors import NotInCatalog, NotPrime
-from ellab.isogeny import (GraphMode, IsogenyMove, candidate_moves,
+from ellab.isogeny import (GraphMode, IsogenyMove, _is_prime, candidate_moves,
                            catalog_class, closure, dual_move, graph_to_json,
                            graph_to_tsv, halved_sum)
 
@@ -61,6 +65,51 @@ def test_halved_sum(p, expected):
 def test_halved_sum_rejects_composites():
     with pytest.raises(NotPrime):
         halved_sum(6)
+
+
+def run_promptly(code):
+    """Run ``code`` in a fresh interpreter; a hang fails the test after 30 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=30)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_huge_primes_answer_promptly():
+    out = run_promptly(
+        "from ellab.configs import parse_config\n"
+        "from ellab.errors import MalformedInput, NotPrime\n"
+        "from ellab.isogeny import PRIME_TEST_BOUND, IsogenyMove, halved_sum\n"
+        "from ellab.torsion import sufficient_torsion_criterion\n"
+        "assert halved_sum(2**61 - 1) is None\n"
+        "try:\n"
+        "    halved_sum(2**61 + 1)\n"
+        "except NotPrime:\n"
+        "    print('not prime')\n"
+        "for p in (PRIME_TEST_BOUND, 2**127 - 1):\n"
+        "    try:\n"
+        "        halved_sum(p)\n"
+        "    except MalformedInput:\n"
+        "        print('too large')\n"
+        "assert sufficient_torsion_criterion(parse_config('3333'), 2**61 - 1) is False\n"
+        "cfg = parse_config('9111')\n"
+        "try:\n"
+        "    IsogenyMove(2**61 - 1, (0,), cfg, cfg)\n"
+        "except MalformedInput:\n"
+        "    print('no move')\n"
+        # strong pseudoprimes to every prime base up to 31, and up to 37
+        "from ellab.isogeny import _is_prime\n"
+        "assert not _is_prime(3825123056546413051)\n"
+        "assert not _is_prime(318665857834031151167461)\n"
+        "assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)\n")
+    assert out == "not prime\ntoo large\ntoo large\nno move\n"
+
+
+def test_prime_test_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert all(_is_prime(n) == trial(n) for n in range(-5, 20000))
 
 
 def test_moves_4422():
