@@ -68,12 +68,6 @@ def parse_config(text: str, labels=None) -> FiberConfig:
         if not text.isdigit():
             raise MalformedInput(f"not a digit string: {text!r}")
         indices = tuple(int(ch) for ch in text)
-    if any(k < 1 for k in indices):
-        raise MalformedInput(f"fiber indices must be positive: {text!r}")
-    if len(indices) < MIN_FIBERS:
-        raise TooFewFibers(f"need at least {MIN_FIBERS} singular fibers, got {len(indices)}")
-    if sum(indices) != TOTAL_INDEX:
-        raise SumNot12(f"indices sum to {sum(indices)}, expected {TOTAL_INDEX}")
     points = tuple(labels) if labels is not None else default_points(len(indices))
     return FiberConfig(points, indices)
 

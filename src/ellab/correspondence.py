@@ -9,9 +9,11 @@ Two hypothesis cases are supported:
   smooth-paired I_6 fiber when the five-fiber factor is 62211.
 
 Certification first searches the factor classes for a rigid fiber-product
-partner.  When that fails, the only possible leftover obstruction is a lone
-I_2 x I_0 fiber; if the five-fiber factor of a representative pair with that
-obstruction has branch component degrees in the catalog (today 33321,
+partner.  A point is obstructed only where one factor is smooth, and then
+only the other factor's index counts, so each class is searched on its own.
+Failing that, the Kummer route takes the representative pairs whose one
+obstruction is an I_2 x I_0 fiber, the input pair first: when the
+five-fiber factor has branch component degrees in the catalog (today 33321,
 44211 and 62211, the partitions with a quartic model whose I_2 fibers come
 from nodes), the fiberwise Kummer quotient of that pair is tested for
 rigidity.  Anything else is honestly NotCertified.
@@ -25,12 +27,12 @@ from enum import Enum
 from .catalog import catalog_lookup
 from .configs import _canonical_json, descending, index_text
 from .errors import HypothesesNotMet, MalformedInput
-from .kummer import (KummerReport, _lone_i2_obstruction, _node_count,
+from .kummer import (LONE_I2_OBSTRUCTIONS, KummerReport, _node_count,
                      _report_payload, kummer_input_from_catalog, kummer_rigidity)
 from .product import (AppliedMove, ProductDiagram, _admissible_factors,
-                      _move_record, _partner, _representatives,
-                      common_singular_count, factors_share_class,
-                      find_rigid_partner, render_diagram)
+                      _factors, _move_record, _obstructions, _pair_rows,
+                      _partner, _representatives, common_singular_count,
+                      factors_share_class, find_rigid_partner, render_diagram)
 
 
 class CaseKind(Enum):
@@ -84,15 +86,12 @@ def classify_hypotheses(d: ProductDiagram) -> HypothesisCase:
             return HypothesisCase(
                 CaseKind.NOT_APPLICABLE,
                 f"mixed 4/5-fiber factors need 4 common singular fibers, found {common}")
-        five_partition = descending(left if n_left == 5 else right)
-        for a, b in d.pairs:
-            if 0 not in (a, b):
-                continue
-            n = a + b
+        left_obstructions, right_obstructions = _obstructions(d.pairs)
+        for n in left_obstructions + right_obstructions:
             if n in (5, 7):
                 return HypothesisCase(
                     CaseKind.NOT_APPLICABLE, f"smooth-paired I_{n} fiber excluded")
-            if n == 6 and five_partition == (6, 2, 2, 1, 1):
+            if n == 6 and descending(left if n_left == 5 else right) == (6, 2, 2, 1, 1):
                 return HypothesisCase(
                     CaseKind.NOT_APPLICABLE,
                     "smooth-paired I_6 fiber excluded for a 62211 factor")
@@ -131,9 +130,13 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
         reasons.append("no five-fiber factor, so the Kummer route does not apply")
         return Certificate(CertificateKind.NOT_CERTIFIED, case,
                            reasons=tuple(reasons), warnings=warnings)
-    for l_tuple, r_tuple, rows in _representatives(d):
-        if not _lone_i2_obstruction(rows):
-            continue
+    lefts, rights = (list(stream) for stream in _representatives(d))
+    candidates = [(l_tuple, r_tuple) for l_obstructions, l_tuple in lefts
+                  for r_obstructions, r_tuple in rights
+                  if (l_obstructions, r_obstructions) in LONE_I2_OBSTRUCTIONS]
+    inputs = _factors(d)
+    candidates.sort(key=lambda pair: pair != inputs)  # the input pair first
+    for l_tuple, r_tuple in candidates:
         five_partition = descending(l_tuple if len(l_tuple) == 5 else r_tuple)
         label = f"{index_text(l_tuple)} x {index_text(r_tuple)}"
         if catalog_lookup(five_partition).branch_component_degrees is None:
@@ -141,11 +144,11 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
                 f"kummer route {label}: five-fiber partition {five_partition} has no "
                 "quartic model with node-induced I_2 fibers")
             continue
-        delta = _node_count(rows, node_count)
+        delta = _node_count(_pair_rows(d.pairs, l_tuple, r_tuple), node_count)
         if delta is None:
             reasons.append(f"kummer route {label}: node count of the fixed curve unknown")
             continue
-        candidate, moves = _partner(d, l_tuple, r_tuple, rows)
+        candidate, moves = _partner(d, l_tuple, r_tuple)
         report = kummer_rigidity(kummer_input_from_catalog(candidate, delta))
         if report.rigid:
             return Certificate(CertificateKind.RIGID_KUMMER, case, diagram=candidate,

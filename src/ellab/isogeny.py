@@ -209,17 +209,16 @@ def _class_of(start: tuple[int, ...]):
     (29), 42222 (4) and 81111 (4): matchings that swap equal indices of the
     start transport the column to different row sets.
     """
-    if descending(start) not in catalog.TABLE_PARTITIONS:
+    position = catalog.CLASS_INDEX.get(descending(start))
+    if position is None:
         return "uncovered", ()
-    for cls in catalog.ALL_CLASSES:
-        if start in cls:
-            return "resolved", cls
+    cls = catalog.ALL_CLASSES[position]
+    if start in cls:
+        return "resolved", cls
     multiset = sorted(start)
     transported = set()
-    for cls in catalog.ALL_CLASSES:
-        for row in cls:
-            if sorted(row) != multiset:
-                continue
+    for row in cls:
+        if sorted(row) == multiset:
             for sigma in _matchings(row, start):
                 transported.add(tuple(_transport(r, sigma) for r in cls))
     variants = {frozenset(rows) for rows in transported}

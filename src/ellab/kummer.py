@@ -19,13 +19,14 @@ from a node (not a double tangent) of the defining quartic.  Rigid means
 both spaces vanish.
 
 No general rule for delta is known to this package.  It defaults to 2 for
-a diagram shaped like the two reference diagrams, the worked examples
-4,4,2,1,1 / 6,2,_,3,1 and 3,3,2,3,1 / 8,2,_,1,1 whose fixed curves are
-known to acquire exactly two nodes: its only smooth fiber paired with an
-I_n, n >= 2, is one I_2 x I_0 fiber (the shape the Kummer route handles),
-and its multiset of fixed-point counts equals a reference diagram's.
-Otherwise delta must be supplied.  Neither condition depends on the order
-of the two factors.  Certification and the report use this one rule.
+a diagram shaped like the two reference diagrams, the worked examples of
+arXiv 0802.3763, 4,4,2,1,1 / 6,2,_,3,1 and 3,3,2,3,1 / 8,2,_,1,1, whose
+fixed curves acquire exactly two nodes: its only smooth fiber paired with
+an I_n, n >= 2, is one I_2 x I_0 fiber (the shape the Kummer route
+handles), and its multiset of fixed-point counts equals a reference
+diagram's.  Otherwise delta must be supplied.  Neither condition depends
+on the order of the two factors.  Certification and the report use this
+one rule.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .catalog import catalog_lookup
 from .configs import _canonical_json, descending
 from .errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
 from .product import ProductDiagram, _factors, _obstructions
+
+# The per-side obstructions (product._obstructions) of a lone I_2 x I_0
+# fiber, the only obstruction the Kummer route handles.
+LONE_I2_OBSTRUCTIONS = (([2], []), ([], [2]))
 
 # Fixed-point multisets of the two reference diagrams, in the order of the
 # module docstring.
@@ -64,18 +69,11 @@ def fiber_fixed_points(a: int, b: int) -> int:
     return (3 if a % 2 else 4) * (3 if b % 2 else 4)
 
 
-def _lone_i2_obstruction(pairs) -> bool:
-    """Whether the only rigidity obstruction of ``pairs`` is one I_2 x I_0 fiber."""
-    return _obstructions(pairs) in ([(2, 0)], [(0, 2)])
-
-
 def _node_count(pairs, node_count=None) -> int | None:
     """The delta rule: ``node_count`` when given, else 2 when ``pairs`` have
     a lone I_2 x I_0 obstruction and a reference fixed-point multiset, else None."""
-    if node_count is not None:
+    if node_count is not None or _obstructions(pairs) not in LONE_I2_OBSTRUCTIONS:
         return node_count
-    if not _lone_i2_obstruction(pairs):
-        return None
     counts = Counter(fiber_fixed_points(a, b) for a, b in pairs)
     return 2 if counts in NODE_COUNT_PATTERNS else None
 

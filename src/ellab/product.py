@@ -142,14 +142,14 @@ def common_singular_count(d: ProductDiagram) -> int:
     return sum(1 for a, b in d.pairs if a >= 1 and b >= 1)
 
 
-def _obstructions(rows) -> list[tuple[int, int]]:
-    """The pairs of a smooth fiber with I_n for n >= 2 (either side)."""
-    return [(a, b) for a, b in rows if (a == 0 and b >= 2) or (b == 0 and a >= 2)]
+def _obstructions(rows) -> tuple[list[int], list[int]]:
+    """Per side, the indices n >= 2 facing a smooth fiber: (left's, right's)."""
+    return [a for a, b in rows if b == 0 and a >= 2], [b for a, b in rows if a == 0 and b >= 2]
 
 
 def is_rigid_criterion(d: ProductDiagram) -> bool:
     """No point pairs a smooth fiber with I_n for n >= 2 (either side)."""
-    return not _obstructions(d.pairs)
+    return _obstructions(d.pairs) == ([], [])
 
 
 def factors_share_class(d: ProductDiagram) -> bool:
@@ -186,22 +186,21 @@ def _pair_rows(pairs, left_tuple, right_tuple):
 
 
 def _representatives(d: ProductDiagram):
-    """(left tuple, right tuple, rows) for the pairs of representatives of
-    the factors' gated classes: the input pair first, then the others in
-    descending lexicographic order.  Isogenies keep singular fibers in
-    place, so ``rows`` substitutes the representatives position-wise."""
-    left, right = _factors(d)
-    yield left, right, d.pairs
-    # closure nodes are sorted ascending
-    left_nodes = _closure_tuples(left, GraphMode.CATALOG_GATED).nodes
-    right_nodes = _closure_tuples(right, GraphMode.CATALOG_GATED).nodes
-    for l_tuple in reversed(left_nodes):
-        for r_tuple in reversed(right_nodes):
-            if (l_tuple, r_tuple) != (left, right):
-                yield l_tuple, r_tuple, _pair_rows(d.pairs, l_tuple, r_tuple)
+    """Per factor, left then right, a lazy stream of (obstructions, node) over
+    its gated class in descending order.  Isogenies keep singular fibers in
+    place, so a node is tested once, against the other factor's input tuple."""
+    factors = _factors(d)
+
+    def stream(side):
+        tuples = list(factors)
+        for node in reversed(_closure_tuples(factors[side], GraphMode.CATALOG_GATED).nodes):
+            tuples[side] = node
+            yield _obstructions(_pair_rows(d.pairs, *tuples))[side], node
+
+    return stream(0), stream(1)
 
 
-def _partner(d: ProductDiagram, l_tuple, r_tuple, rows):
+def _partner(d: ProductDiagram, l_tuple, r_tuple):
     """The diagram of one representative pair and the moves reaching it
     from ``d``: the left factor's closure path, then the right one's."""
     moves = []
@@ -210,24 +209,30 @@ def _partner(d: ProductDiagram, l_tuple, r_tuple, rows):
         path = _closure_tuples(indices, GraphMode.CATALOG_GATED).paths[target]
         moves += [AppliedMove(side, _materialize(spec, points)) for spec in path]
     moves = tuple(moves)
-    return ProductDiagram(d.points, rows, d.log + moves), moves
+    return ProductDiagram(d.points, _pair_rows(d.pairs, l_tuple, r_tuple), d.log + moves), moves
 
 
 def find_rigid_partner(d: ProductDiagram):
-    """Search the gated closures of both factors for a rigid product.
+    """Search the gated classes of both factors for a rigid product.
 
-    The input itself is checked first; after that candidate pairs are
-    enumerated in descending lexicographic order of (left representative,
-    right representative).  Returns the partner diagram and the applied
-    move path, or None.
+    A rigid input is its own partner.  Otherwise a point is obstructed only
+    where one factor is smooth, by the other factor's index alone, so each
+    side takes its first unobstructed node in descending lexicographic order
+    and the search fails as soon as one side has none.  Returns the partner
+    diagram and the applied move path, or None.
     """
     _admissible_factors(d)
-    for l_tuple, r_tuple, rows in _representatives(d):
-        if not _obstructions(rows):
-            partner, moves = _partner(d, l_tuple, r_tuple, rows)
-            assert is_rigid_criterion(partner)
-            return partner, moves
-    return None
+    if is_rigid_criterion(d):
+        return d, ()
+    picks = []
+    for stream in _representatives(d):
+        node = next((node for obstructions, node in stream if not obstructions), None)
+        if node is None:
+            return None
+        picks.append(node)
+    partner, moves = _partner(d, *picks)
+    assert is_rigid_criterion(partner)
+    return partner, moves
 
 
 def parse_diagram(text: str) -> ProductDiagram:

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import prod
 
 from . import catalog
-from .configs import FiberConfig, descending, odd_index_count, partition_of
+from .configs import FiberConfig, descending, odd_index_count, partition_of, render_config
 from .errors import NotPrime, TorsionContradiction, UnsupportedPrime
 from .isogeny import _is_prime, _move_specs
 
@@ -145,8 +145,8 @@ def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
     if not _move_specs(config.indices, p):
         no.append(Provenance.MOVE_NONEXISTENCE)
     if yes and no:
-        raise TorsionContradiction(
-            f"{config.indices} p={p}: both {yes} and {no} fired")
+        raise TorsionContradiction(f"{render_config(config)} p={p}: both {yes[0]} "
+                                   f"and {', '.join(map(str, no))} fired")
     if yes:
         return TorsionStatus(TorsionAnswer.YES, tuple(yes))
     if no:

@@ -237,15 +237,30 @@ def test_criterion_5b_case_b_sweep():
 
 # ---------------------------------------------------------------- criterion 6
 
+def _compositions():
+    """Every ordered composition of 12 with at least four parts."""
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
+            for n_cuts in range(3, 12) for cuts in itertools.combinations(range(1, 12), n_cuts)]
+
+
 def test_criterion_6a_move_targets_and_duality():
-    with criterion("ACCEPTANCE 6a (move sum conservation, dual involution)"):
-        for cls in ALL_CLASSES:
-            for row in cls:
-                config = cfg(row)
-                for p in (2, 3, 5):
-                    for move in candidate_moves(config, p):
-                        assert sum(move.target.indices) == 12
-                        assert dual_move(dual_move(move)) == move
+    with criterion("ACCEPTANCE 6a (move sum conservation, dual involution, closure symmetry)"):
+        compositions = _compositions()
+        assert len(set(compositions)) == 1981
+        reach = {c: {node.indices for node in closure(cfg(c), GraphMode.COMBINATORIAL).nodes}
+                 for c in compositions}
+        moves = 0
+        for composition in compositions:
+            config = cfg(composition)
+            for p in (2, 3, 5):
+                for move in candidate_moves(config, p):
+                    assert sum(move.target.indices) == 12
+                    assert dual_move(dual_move(move)) == move
+                    moves += 1
+            # y lies in closure(x) iff x lies in closure(y)
+            for node in reach[composition]:
+                assert composition in reach[node], (composition, node)
+        assert moves == 892
 
 
 def test_criterion_6b_fixed_point_values():

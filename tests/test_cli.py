@@ -55,6 +55,10 @@ def test_torsion_bad_input_exit_2(capsys):
     code, _, err = run(capsys, "torsion", "3332", "-p", "2")
     assert code == 2
     assert "error:" in err
+    # an inadmissible partition on which two verdicts clash names them
+    code, _, err = run(capsys, "torsion", "1137", "-p", "2")
+    assert code == 2
+    assert err == "error: 1137 p=2: both SufficientCriterion and MoveNonexistence fired\n"
 
 
 def test_torsion_unsupported_prime_exit_2(capsys):

@@ -120,6 +120,16 @@ def test_certify_not_certified_without_node_count():
     assert cert.kind is CertificateKind.NOT_CERTIFIED
     assert any("node count" in reason for reason in cert.reasons)
     assert any("partner" in reason for reason in cert.reasons)
+    # Kummer candidates: the input pair first, then descending order
+    cert = certify(parse_diagram("3,3,3,3,_ / 3,3,3,1,2"))
+    assert cert.reasons == (
+        "no rigid fiber-product partner among the class representatives",
+        "kummer route 3333 x 33312: node count of the fixed curve unknown",
+        "kummer route 9111 x 33312: node count of the fixed curve unknown",
+        "kummer route 1911 x 33312: node count of the fixed curve unknown",
+        "kummer route 1191 x 33312: node count of the fixed curve unknown",
+        "kummer route 1119 x 33312: node count of the fixed curve unknown",
+    )
 
 
 def test_certify_explicit_node_count_can_close_the_gap():

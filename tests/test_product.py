@@ -5,7 +5,7 @@ import pytest
 from ellab.catalog import ALL_CLASSES
 from ellab.configs import FiberConfig, default_points, parse_config
 from ellab.errors import ConflictingLabels, MalformedInput, NotInCatalog, SideMismatch
-from ellab.isogeny import candidate_moves
+from ellab.isogeny import GraphMode, candidate_moves, closure
 from ellab.product import (ProductDiagram, apply_move, common_singular_count,
                            diagram_to_json, factors_share_class,
                            find_rigid_partner, is_rigid_criterion, left_config,
@@ -129,21 +129,42 @@ def test_find_rigid_partner_seeded():
     ]
 
 
-def test_find_rigid_partner_seeded_matches_exhaustive_oracle():
-    d = ProductDiagram(default_points(5), ((3, 4), (3, 4), (3, 2), (3, 0), (0, 2)))
-    from ellab.isogeny import GraphMode, closure
+def _exhaustive_partner(d):
+    """Reference pair walk: the input pair first, then every pair of gated
+    class nodes in descending order; the first rigid one wins."""
+    left, right = left_config(d).indices, right_config(d).indices
     left_reps = [n.indices for n in closure(left_config(d), GraphMode.CATALOG_GATED).nodes]
     right_reps = [n.indices for n in closure(right_config(d), GraphMode.CATALOG_GATED).nodes]
-    rigid_pairs = []
-    for lt in left_reps:
-        for rt in right_reps:
-            pairs = [(lt[0], rt[0]), (lt[1], rt[1]), (lt[2], rt[2]), (lt[3], 0), (0, rt[3])]
-            if not any((a == 0 and b >= 2) or (b == 0 and a >= 2) for a, b in pairs):
-                rigid_pairs.append((lt, rt))
-    assert rigid_pairs
-    best = max(rigid_pairs)
-    partner, _ = find_rigid_partner(d)
-    assert (left_config(partner).indices, right_config(partner).indices) == best
+    pairs = sorted(((lt, rt) for lt in left_reps for rt in right_reps), reverse=True)
+    for lt, rt in [(left, right)] + pairs:
+        slots_l, slots_r = iter(lt), iter(rt)
+        rows = [(next(slots_l) if a else 0, next(slots_r) if b else 0) for a, b in d.pairs]
+        if not any((a == 0 and b >= 2) or (b == 0 and a >= 2) for a, b in rows):
+            return lt, rt
+    return None
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["as-given", "swapped"])
+@pytest.mark.parametrize("text", [
+    "3,3,3,3,_ / 4,4,2,_,2",
+    # rigid input: its own partner, although 9111 x 9111 sorts first
+    "9,1,1,1,_ / 1,9,1,_,1",
+    # the left input is unobstructed, yet the left pick is 9111: the input
+    # goes first as a pair, not per side
+    "1,9,1,1,_ / 3,3,3,_,3",
+], ids=["seeded", "rigid-input", "unobstructed-left-input"])
+def test_find_rigid_partner_matches_exhaustive_oracle(text, swap):
+    d = parse_diagram(text)
+    if swap:
+        d = ProductDiagram(d.points, tuple((b, a) for a, b in d.pairs))
+    expected = _exhaustive_partner(d)
+    assert expected is not None
+    partner, moves = find_rigid_partner(d)
+    assert (left_config(partner).indices, right_config(partner).indices) == expected
+    if expected == (left_config(d).indices, right_config(d).indices):
+        assert partner == d and moves == ()
+    else:
+        assert moves
 
 
 def test_find_rigid_partner_already_rigid():
