@@ -100,7 +100,9 @@ class IsogenyMove:
         if not divided <= set(range(len(src))):
             raise MalformedInput(f"divided positions out of range: {self.divided_positions}")
         total = halved_sum(self.p)
-        if total is None or sum(src.indices[i] for i in divided) != total:
+        if total is None:
+            raise MalformedInput(f"no {self.p}-isogeny keeps the index sum at 12: 12p/(p+1) is not an integer")
+        if sum(src.indices[i] for i in divided) != total:
             raise MalformedInput(f"divided indices must sum to {total} for p={self.p}")
         for i, (a, b) in enumerate(zip(src.indices, dst.indices)):
             if i in divided:
@@ -144,12 +146,6 @@ def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
     return tuple(specs)
 
 
-def _materialize(spec: _MoveSpec, points) -> IsogenyMove:
-    return IsogenyMove(spec.p, spec.divided,
-                       FiberConfig(points, spec.source),
-                       FiberConfig(points, spec.target))
-
-
 def candidate_moves(config: FiberConfig, p: int) -> tuple[IsogenyMove, ...]:
     """All combinatorially possible p-moves out of ``config``.
 
@@ -157,8 +153,8 @@ def candidate_moves(config: FiberConfig, p: int) -> tuple[IsogenyMove, ...]:
     partition is known not to occur (4 or 5 fibers, absent from the tables)
     are pruned, everything else is kept.
     """
-    specs = _move_specs(config.indices, p)
-    return tuple(_materialize(spec, config.points) for spec in specs)
+    return tuple(IsogenyMove(p, spec.divided, config, FiberConfig(config.points, spec.target))
+                 for spec in _move_specs(config.indices, p))
 
 
 def dual_move(move: IsogenyMove) -> IsogenyMove:
@@ -286,9 +282,9 @@ def closure(config: FiberConfig, mode: GraphMode = GraphMode.COMBINATORIAL) -> I
     lies outside the tables.
     """
     data = _closure_tuples(config.indices, mode)
-    nodes = tuple(FiberConfig(config.points, t) for t in data.nodes)
-    edges = tuple(_materialize(spec, config.points) for spec in data.edges)
-    return IsogenyGraph(nodes, edges, mode)
+    nodes = {t: FiberConfig(config.points, t) for t in data.nodes}
+    edges = tuple(IsogenyMove(s.p, s.divided, nodes[s.source], nodes[s.target]) for s in data.edges)
+    return IsogenyGraph(tuple(nodes.values()), edges, mode)
 
 
 def catalog_class(config: FiberConfig) -> tuple[FiberConfig, ...]:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from . import catalog
-from .configs import FiberConfig, TOTAL_INDEX, _canonical_json, descending
-from .errors import ConflictingLabels, MalformedInput, SideMismatch
-from .isogeny import GraphMode, IsogenyMove, _closure_tuples, _materialize
+from .configs import FiberConfig, MIN_FIBERS, TOTAL_INDEX, _canonical_json, descending
+from .errors import ConflictingLabels, MalformedInput, SideMismatch, TooFewFibers
+from .isogeny import GraphMode, IsogenyMove, _closure_tuples
 
 Side = Literal["left", "right"]
 
@@ -40,7 +40,7 @@ class ProductDiagram:
 
     def __post_init__(self):
         points = tuple(self.points)
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        pairs = tuple((a, b) for a, b in self.pairs)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "log", tuple(self.log))
@@ -48,16 +48,19 @@ class ProductDiagram:
             raise MalformedInput("one point label per fiber pair required")
         if len(set(points)) != len(points):
             raise MalformedInput(f"point labels must be pairwise distinct: {points}")
+        if not all(isinstance(k, int) for pair in pairs for k in pair):
+            raise MalformedInput(f"fiber indices must be integers: {pairs}")
         if any(a < 0 or b < 0 for a, b in pairs):
             raise MalformedInput("fiber indices must be non-negative")
         if any(a == 0 and b == 0 for a, b in pairs):
             raise MalformedInput("a diagram point must be singular for at least one factor")
-        for total in (sum(a for a, _ in pairs), sum(b for _, b in pairs)):
+        factors = _factors(self)
+        for total in map(sum, factors):
             if total != TOTAL_INDEX:
                 raise MalformedInput(f"each factor must have index sum {TOTAL_INDEX}, got {total}")
-        # validates fiber count bounds for both factors
-        left_config(self)
-        right_config(self)
+        for indices in factors:
+            if len(indices) < MIN_FIBERS:
+                raise TooFewFibers(f"need at least {MIN_FIBERS} singular fibers, got {len(indices)}")
 
     @property
     def singular_count(self) -> int:
@@ -207,7 +210,10 @@ def _partner(d: ProductDiagram, l_tuple, r_tuple):
     for side, index, target in (("left", 0, l_tuple), ("right", 1, r_tuple)):
         points, indices = _project(d, index)
         path = _closure_tuples(indices, GraphMode.CATALOG_GATED).paths[target]
-        moves += [AppliedMove(side, _materialize(spec, points)) for spec in path]
+        chain = [FiberConfig(points, indices)] if path else []
+        for spec in path:
+            chain.append(FiberConfig(points, spec.target))
+            moves.append(AppliedMove(side, IsogenyMove(spec.p, spec.divided, chain[-2], chain[-1])))
     moves = tuple(moves)
     return ProductDiagram(d.points, _pair_rows(d.pairs, l_tuple, r_tuple), d.log + moves), moves
 

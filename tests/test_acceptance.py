@@ -12,7 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 from ellab.catalog import ALL_CLASSES, FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES
-from ellab.configs import FiberConfig, default_points, parse_config
+from ellab.configs import FiberConfig, default_points, parse_config, render_config
 from ellab.correspondence import CertificateKind, certificate_to_json, certify
 from ellab.errors import HypothesesNotMet
 from ellab.isogeny import (GraphMode, candidate_moves, closure, dual_move,
@@ -20,7 +20,8 @@ from ellab.isogeny import (GraphMode, candidate_moves, closure, dual_move,
 from ellab.kummer import (Rationality, fiber_fixed_points, kummer_input_from_catalog,
                           kummer_rigidity, rationality_verdict)
 from ellab.product import (apply_move, common_singular_count, is_rigid_criterion,
-                           left_config, make_product, parse_diagram, right_config)
+                           left_config, make_product, parse_diagram, render_diagram,
+                           right_config)
 from ellab.torsion import (Provenance, TorsionAnswer, excludes_two_torsion,
                            sufficient_torsion_criterion, torsion_status)
 
@@ -172,12 +173,14 @@ def _certify_all(diagrams):
 def _golden(results):
     """sha256 over the outputs in enumeration order and the outcome histogram.
 
-    Every certificate's move log is replayed through ``apply_move`` from the
-    input and must give the certified diagram; a partner must be rigid.
+    Every input must survive a render/parse round trip.  Every certificate's
+    move log is replayed through ``apply_move`` from the input and must give
+    the certified diagram; a partner must be rigid.
     """
     digest = hashlib.sha256()
     outcomes = Counter()
     for diagram, cert in results:
+        assert parse_diagram(render_diagram(diagram)).pairs == diagram.pairs
         if isinstance(cert, HypothesesNotMet):
             outcomes["NotApplicable"] += 1
             digest.update(f"NotApplicable: {cert}\n".encode())
@@ -244,7 +247,8 @@ def _compositions():
 
 
 def test_criterion_6a_move_targets_and_duality():
-    with criterion("ACCEPTANCE 6a (move sum conservation, dual involution, closure symmetry)"):
+    with criterion("ACCEPTANCE 6a (move sum conservation, dual involution, closure symmetry, "
+                   "config round trip)"):
         compositions = _compositions()
         assert len(set(compositions)) == 1981
         reach = {c: {node.indices for node in closure(cfg(c), GraphMode.COMBINATORIAL).nodes}
@@ -252,6 +256,7 @@ def test_criterion_6a_move_targets_and_duality():
         moves = 0
         for composition in compositions:
             config = cfg(composition)
+            assert parse_config(render_config(config)) == config
             for p in (2, 3, 5):
                 for move in candidate_moves(config, p):
                     assert sum(move.target.indices) == 12

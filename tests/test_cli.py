@@ -183,6 +183,13 @@ def test_certify_hypotheses_not_met_exit_2(capsys):
     assert code == 2
 
 
+def test_certify_too_few_fibers_exit_2(capsys):
+    code, out, err = run(capsys, "certify", "6,6,_,_ / 3,3,3,3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least 4 singular fibers, got 2\n"
+
+
 def test_module_entry_point():
     import os
     repo = Path(__file__).resolve().parents[1]

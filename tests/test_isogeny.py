@@ -10,10 +10,11 @@ import pytest
 from ellab.catalog import (ALL_CLASSES, Admissibility, FIVE_FIBER_CLASSES,
                            FOUR_FIBER_CLASSES, admissible)
 from ellab.configs import FiberConfig, default_points, parse_config
-from ellab.errors import NotInCatalog, NotPrime
-from ellab.isogeny import (GraphMode, IsogenyMove, _is_prime, candidate_moves,
-                           catalog_class, closure, dual_move, graph_to_json,
-                           graph_to_tsv, halved_sum)
+from ellab.errors import MalformedInput, NotInCatalog, NotPrime
+from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
+                           _closure_tuples, _is_prime, _move_specs, candidate_moves,
+                           catalog_class, closure, dual_move, graph_to_json, graph_to_tsv,
+                           halved_sum)
 
 
 def cfg(indices, labels=None):
@@ -178,10 +179,53 @@ def test_dual_is_involution_on_all_catalog_moves():
                     assert dual_move(dual_move(move)) == move
 
 
-def test_move_validation():
-    src = parse_config("4422")
-    with pytest.raises(Exception):
-        IsogenyMove(2, (0,), src, parse_config("2844"))
+@pytest.mark.parametrize("p,divided,source,target,error,message", [
+    (2, (0, 1), cfg((4, 4, 2, 2)), cfg((2, 2, 4, 4), ("Q1", "Q2", "Q3", "Q4")),
+     MalformedInput, "share base points"),
+    (2, (), cfg((4, 4, 2, 2)), cfg((2, 2, 4, 4)), MalformedInput, "distinct and non-empty"),
+    (2, (0, 0), cfg((4, 4, 2, 2)), cfg((2, 2, 4, 4)), MalformedInput, "distinct and non-empty"),
+    (2, (0, 4), cfg((4, 4, 2, 2)), cfg((2, 2, 4, 4)), MalformedInput, "out of range"),
+    (2, (0,), cfg((4, 4, 2, 2)), cfg((2, 2, 4, 4)), MalformedInput, "must sum to 8 for p=2"),
+    (4, (0, 1), cfg((4, 4, 2, 2)), cfg((2, 2, 4, 4)), NotPrime, "4 is not prime"),
+    (7, (0, 1), cfg((4, 4, 2, 2)), cfg((2, 2, 4, 4)), MalformedInput,
+     r"no 7-isogeny keeps the index sum at 12: 12p/\(p\+1\) is not an integer"),
+    (3, (0, 1, 3), cfg((6, 2, 3, 1)), cfg((2, 6, 1, 3)), MalformedInput, "position 1: 2 must divide"),
+    (2, (0, 1), cfg((4, 4, 2, 2)), cfg((2, 2, 2, 6)), MalformedInput, "position 2: 2 must multiply to 4"),
+], ids=["points-differ", "empty", "duplicate", "out-of-range", "wrong-sum", "p=4", "p=7",
+        "indivisible", "wrong-target"])
+def test_move_validation(p, divided, source, target, error, message):
+    with pytest.raises(error, match=message) as excinfo:
+        IsogenyMove(p, divided, source, target)
+    assert type(excinfo.value) is error
+
+
+def fresh_move(spec, points):
+    """Reference: a move whose endpoints are built afresh through the public constructors."""
+    return IsogenyMove(spec.p, spec.divided, FiberConfig(points, spec.source),
+                       FiberConfig(points, spec.target))
+
+
+def test_graphs_and_moves_equal_fresh_construction_on_every_composition():
+    """closure and candidate_moves share endpoint objects; the values equal
+    the ones a fresh validated construction gives, over the whole universe."""
+    compositions = [tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
+                    for n_cuts in range(3, 12)
+                    for cuts in itertools.combinations(range(1, 12), n_cuts)]
+    assert len(compositions) == 1981
+    for composition in compositions:
+        config = cfg(composition)
+        for mode in GraphMode:
+            data = _closure_tuples(composition, mode)
+            reference = IsogenyGraph(tuple(cfg(t) for t in data.nodes),
+                                     tuple(fresh_move(s, config.points) for s in data.edges), mode)
+            graph = closure(config, mode)
+            assert graph == reference, (composition, mode)
+            nodes = {id(node) for node in graph.nodes}
+            assert all(id(m.source) in nodes and id(m.target) in nodes for m in graph.edges)
+        for p in CLOSURE_PRIMES:
+            moves = candidate_moves(config, p)
+            assert moves == tuple(fresh_move(s, config.points) for s in _move_specs(composition, p))
+            assert all(move.source is config for move in moves)
 
 
 BEAUVILLE_COLUMNS = {

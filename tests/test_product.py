@@ -4,7 +4,8 @@ import pytest
 
 from ellab.catalog import ALL_CLASSES
 from ellab.configs import FiberConfig, default_points, parse_config
-from ellab.errors import ConflictingLabels, MalformedInput, NotInCatalog, SideMismatch
+from ellab.errors import (ConflictingLabels, MalformedInput, NotInCatalog, SideMismatch,
+                          TooFewFibers)
 from ellab.isogeny import GraphMode, candidate_moves, closure
 from ellab.product import (ProductDiagram, apply_move, common_singular_count,
                            diagram_to_json, factors_share_class,
@@ -61,6 +62,17 @@ def test_diagram_invariants():
     with pytest.raises(MalformedInput):
         ProductDiagram(("P1", "P2", "P3", "P4", "P5"),
                        ((3, 9), (3, 1), (3, 1), (3, 1), (0, 0)))
+    # indices are never coerced: 3.9 is not read as 3, nor '3' as 3
+    for pairs in (((3.9, 9), (3, 1), (3, 1), (3.1, 1)), (("3", 9), (3, 1), (3, 1), (3, 1))):
+        with pytest.raises(MalformedInput, match="fiber indices must be integers"):
+            ProductDiagram(("P1", "P2", "P3", "P4"), pairs)
+    # a factor with two fibers; index sums are checked before fiber counts
+    with pytest.raises(TooFewFibers) as excinfo:
+        ProductDiagram(("P1", "P2", "P3", "P4"), ((6, 3), (6, 3), (0, 3), (0, 3)))
+    assert str(excinfo.value) == "need at least 4 singular fibers, got 2"
+    with pytest.raises(MalformedInput) as excinfo:
+        ProductDiagram(("P1", "P2", "P3", "P4"), ((6, 3), (6, 3), (0, 3), (0, 4)))
+    assert str(excinfo.value) == "each factor must have index sum 12, got 13"
 
 
 @pytest.mark.parametrize("pairs,expected", [
