@@ -122,8 +122,6 @@ TABLE_ROWS: frozenset[tuple[int, ...]] = frozenset(
 CLASS_INDEX: dict[tuple[int, ...], int] = {
     descending(row): i for i, cls in enumerate(ALL_CLASSES) for row in cls
 }
-# every partition covered by some row
-TABLE_PARTITIONS: frozenset[tuple[int, ...]] = frozenset(CLASS_INDEX)
 
 ADMISSIBLE_PARTITIONS: frozenset[tuple[int, ...]] = frozenset(
     e.partition for e in EMBEDDED_ENTRIES

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import catalog
 from .configs import (FiberConfig, TOTAL_INDEX, _canonical_json, descending,
-                      index_text, odd_index_count, render_config)
+                      index_text, render_config)
 from .errors import MalformedInput, NotInCatalog, NotPrime
 
 CLOSURE_PRIMES = (2, 3, 5)
@@ -128,13 +128,9 @@ def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
     total = halved_sum(p)
     if total is None:
         return ()
-    if p == 2 and odd_index_count(indices) > 4:
-        # no two-torsion section exists, and no even subset can reach 8
-        return ()
     divisible = tuple(i for i, k in enumerate(indices) if k % p == 0)
-    max_size = min(len(divisible), 4) if p == 2 else len(divisible)
     specs = []
-    for size in range(1, max_size + 1):
+    for size in range(1, len(divisible) + 1):
         for divided in combinations(divisible, size):
             if sum(indices[i] for i in divided) != total:
                 continue
@@ -194,12 +190,13 @@ def _transport(row, sigma):
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
 def _class_of(start: tuple[int, ...]):
     """('uncovered' | 'resolved' | 'ambiguous', rows) for the class of ``start``.
 
-    A literal table row takes its column at the table alignment.  Otherwise
-    every value-preserving matching with a row of the column is tried; the
+    Uncached: it runs once per gated closure, which :func:`_closure_tuples`
+    caches, and once per :func:`catalog_class` call.  A literal table row
+    takes its column at the table alignment.  Otherwise every
+    value-preserving matching with a row of the column is tried; the
     transported column is 'resolved' only when all matchings agree.  Over
     all compositions the 'ambiguous' starts are position variants of 62211
     (29), 42222 (4) and 81111 (4): matchings that swap equal indices of the
@@ -232,16 +229,10 @@ class _ClosureData(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _closure_tuples(start: tuple[int, ...], mode: GraphMode) -> _ClosureData:
-    kind, rows = _class_of(start)
-    gate = frozenset(rows)
-
-    def keep(node):
-        if mode is GraphMode.COMBINATORIAL or node == start:
-            return True
-        if descending(node) in catalog.TABLE_PARTITIONS:
-            return node in gate if kind != "uncovered" else node in catalog.TABLE_ROWS
-        return True
-
+    gate = None  # one row set per start, see closure()
+    if mode is GraphMode.CATALOG_GATED and len(start) <= 5:
+        kind, rows = _class_of(start)
+        gate = catalog.TABLE_ROWS if kind == "uncovered" else frozenset(rows)
     queue = [start]
     paths = {start: ()}
     edges = {}
@@ -249,7 +240,7 @@ def _closure_tuples(start: tuple[int, ...], mode: GraphMode) -> _ClosureData:
         node = queue.pop(0)
         for p in CLOSURE_PRIMES:
             for spec in _move_specs(node, p):
-                if not keep(spec.target):
+                if gate is not None and spec.target not in gate:
                     continue
                 edges[(spec.p, spec.divided, spec.source)] = spec
                 dual = _dual_spec(spec)
@@ -275,11 +266,14 @@ def closure(config: FiberConfig, mode: GraphMode = GraphMode.COMBINATORIAL) -> I
     """Breadth-first closure of ``config`` under moves for p in {2, 3, 5}.
 
     Node order is lexicographic in the index tuples.  CatalogGated mode
-    discards any reached configuration whose partition the class tables
-    cover but which is not a row of the start's class (transported to the
-    start's positions, see :func:`catalog_class`); the start node itself is
-    always kept, and gating falls back to literal table rows when the start
-    lies outside the tables.
+    keeps only the targets in one row set, decided once per start: the
+    start's class column (transported to the start's positions, see
+    :func:`catalog_class`), only the start when that column is ambiguous,
+    the literal table rows when the start's partition is not admissible,
+    and no gate beyond 5 fibers.  Moves keep positions and drop every
+    inadmissible target of at most 5 fibers, so this equals discarding each
+    reached node the tables cover that is not in the start's class.
+    Combinatorial mode never reads the tables.
     """
     data = _closure_tuples(config.indices, mode)
     nodes = {t: FiberConfig(config.points, t) for t in data.nodes}
@@ -297,8 +291,6 @@ def catalog_class(config: FiberConfig) -> tuple[FiberConfig, ...]:
     """
     catalog._check_admissible(config.indices, render_config(config))
     kind, rows = _class_of(config.indices)
-    if kind == "uncovered":
-        raise NotInCatalog(f"{render_config(config)} lies outside the class tables")
     if kind == "ambiguous":
         raise NotInCatalog(
             f"{render_config(config)} cannot be transported: the class rows of "
@@ -313,14 +305,10 @@ def graph_to_tsv(graph: IsogenyGraph) -> str:
     catalog's row order so the output can be diffed visually against the
     tables; otherwise rows are sorted lexicographically.
     """
-    tuples = [node.indices for node in graph.nodes]
-    node_set = set(tuples)
-    for cls in catalog.ALL_CLASSES:
-        if node_set == set(cls):
-            tuples = list(cls)
-            break
-    else:
-        tuples.sort()
+    tuples = sorted(node.indices for node in graph.nodes)
+    position = catalog.CLASS_INDEX.get(descending(tuples[0])) if tuples else None
+    if position is not None and set(tuples) == set(catalog.ALL_CLASSES[position]):
+        tuples = catalog.ALL_CLASSES[position]
     return "\n".join(index_text(t) for t in tuples) + "\n"
 
 

@@ -186,14 +186,14 @@ class KummerReport:
     component_max: int
     rationality: Rationality
     equisingular_zero: bool
-    transversal_zero: bool
-    rigid: bool
 
-    def __post_init__(self):
-        if self.transversal_zero != (self.rationality is Rationality.FORCED):
-            raise MalformedInput("transversal_zero must mirror the rationality verdict")
-        if self.rigid != (self.equisingular_zero and self.transversal_zero):
-            raise MalformedInput("rigid must be the conjunction of the two verdicts")
+    @property
+    def transversal_zero(self) -> bool:
+        return self.rationality is Rationality.FORCED
+
+    @property
+    def rigid(self) -> bool:
+        return self.equisingular_zero and self.transversal_zero
 
 
 def kummer_rigidity(inp: KummerInput) -> KummerReport:
@@ -207,8 +207,6 @@ def kummer_rigidity(inp: KummerInput) -> KummerReport:
     euler = 16 * (2 - diagram.singular_count) + sum(fixed_counts) + node_count
     c_min, c_max = component_interval(inp.left_degrees, inp.right_degrees)
     rationality = rationality_verdict(euler, c_min, c_max)
-    equisingular = equisingular_zero(inp)
-    transversal = rationality is Rationality.FORCED
     return KummerReport(
         points=diagram.points,
         fixed_counts=fixed_counts,
@@ -217,9 +215,7 @@ def kummer_rigidity(inp: KummerInput) -> KummerReport:
         component_min=c_min,
         component_max=c_max,
         rationality=rationality,
-        equisingular_zero=equisingular,
-        transversal_zero=transversal,
-        rigid=equisingular and transversal,
+        equisingular_zero=equisingular_zero(inp),
     )
 
 

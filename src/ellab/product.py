@@ -167,14 +167,15 @@ def apply_move(d: ProductDiagram, side: Side, move: IsogenyMove) -> ProductDiagr
     """Replace one factor by the move target; the move is recorded in the log."""
     if side not in ("left", "right"):
         raise MalformedInput(f"side must be 'left' or 'right', got {side!r}")
-    factors = {"left": left_config(d), "right": right_config(d)}
-    current = factors[side]
+    index = 0 if side == "left" else 1
+    current = FiberConfig(*_project(d, index))
     if current != move.source:
         raise SideMismatch(
             f"{side} factor is {current.indices} over {current.points}, "
             f"move starts from {move.source.indices} over {move.source.points}")
-    factors[side] = move.target
-    pairs = _pair_rows(d.pairs, factors["left"].indices, factors["right"].indices)
+    factors = list(_factors(d))
+    factors[index] = move.target.indices
+    pairs = _pair_rows(d.pairs, *factors)
     return ProductDiagram(d.points, pairs, d.log + (AppliedMove(side, move),))
 
 

@@ -153,12 +153,3 @@ def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
         return TorsionStatus(TorsionAnswer.NO, tuple(no))
     return TorsionStatus(TorsionAnswer.UNKNOWN)
 
-
-__all__ = [
-    "Provenance",
-    "TorsionAnswer",
-    "TorsionStatus",
-    "excludes_two_torsion",
-    "sufficient_torsion_criterion",
-    "torsion_status",
-]

@@ -116,7 +116,7 @@ def test_lookup_accepts_any_order():
 
 
 def test_class_tables_cover_exactly_the_admissible_partitions():
-    assert catalog.TABLE_PARTITIONS == ADMISSIBLE_4 | ADMISSIBLE_5
+    assert frozenset(catalog.CLASS_INDEX) == ADMISSIBLE_4 | ADMISSIBLE_5
     assert catalog.ADMISSIBLE_PARTITIONS == ADMISSIBLE_4 | ADMISSIBLE_5
 
 

@@ -190,6 +190,39 @@ def test_certify_too_few_fibers_exit_2(capsys):
     assert err == "error: need at least 4 singular fibers, got 2\n"
 
 
+def test_certify_text_shows_move_and_shared_class_warning(capsys):
+    code, out, _ = run(capsys, "certify", "3,3,3,3,_ / 9,1,_,1,1")
+    assert code == 0
+    assert "move: left p=3 3333 -> 9111\n" in out
+    assert ("warning: factors share an isogeny class; "
+            "the constructions assume non-isogenous factors\n") in out
+
+
+def test_certify_zero_delta_not_rigid_exit_1(capsys):
+    code, out, _ = run(capsys, "certify", WORKED, "--delta", "0")
+    assert code == 1
+    reasons = [line for line in out.splitlines() if line.startswith("reason: kummer route")]
+    assert reasons[0] == ("reason: kummer route 44211 x 6231: not rigid (euler 18, "
+                          "components 9..10, Undetermined, equisingular_zero=True)")
+
+
+def test_kummer_missing_node_flag_exit_2(capsys):
+    code, out, err = run(capsys, "kummer", "8,2,1,1,_ / 3,_,3,3,3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: catalog records no node flag for point P2\n"
+
+
+def test_product_bad_align_exit_2(capsys):
+    for align, message in (("1,2", "--align needs one entry per right-factor position, got 2"),
+                           ("1,x,3,_", "bad --align entry 'x'"),
+                           ("1,9,3,_", "--align position 9 out of range")):
+        code, out, err = run(capsys, "product", "4422", "6231", "--align", align)
+        assert code == 2, align
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_module_entry_point():
     import os
     repo = Path(__file__).resolve().parents[1]

@@ -28,6 +28,15 @@ def test_classify_case_b():
     assert classify_hypotheses(swapped(WORKED_A)).kind is CaseKind.CASE_B
 
 
+def test_classify_reports_fiber_counts_and_common_fibers():
+    case = classify_hypotheses(parse_diagram("4,4,2,1,1,_ / 6,2,_,3,_,1"))
+    assert case.kind is CaseKind.NOT_APPLICABLE
+    assert case.reason == "mixed 4/5-fiber factors need 4 common singular fibers, found 3"
+    case = classify_hypotheses(parse_diagram("4,4,2,1,1 / 4,4,2,1,1"))
+    assert case.kind is CaseKind.NOT_APPLICABLE
+    assert case.reason == "factors must have 4+4 or 4+5 singular fibers, found 5+5"
+
+
 def test_classify_rejects_smooth_paired_i5():
     left = parse_config("54111")
     right = FiberConfig(("P2", "P3", "P4", "P5"), (3, 3, 3, 3))

@@ -7,14 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from ellab.catalog import (ALL_CLASSES, Admissibility, FIVE_FIBER_CLASSES,
-                           FOUR_FIBER_CLASSES, admissible)
-from ellab.configs import FiberConfig, default_points, parse_config
+from ellab.catalog import (ADMISSIBLE_PARTITIONS, ALL_CLASSES, Admissibility, CLASS_INDEX,
+                           FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES, TABLE_ROWS, admissible)
+from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.errors import MalformedInput, NotInCatalog, NotPrime
 from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
-                           _closure_tuples, _is_prime, _move_specs, candidate_moves,
-                           catalog_class, closure, dual_move, graph_to_json, graph_to_tsv,
-                           halved_sum)
+                           _class_of, _closure_tuples, _dual_spec, _is_prime, _move_specs,
+                           candidate_moves, catalog_class, closure, dual_move, graph_to_json,
+                           graph_to_tsv, halved_sum)
+from ellab.torsion import excludes_two_torsion
 
 
 def cfg(indices, labels=None):
@@ -205,14 +206,16 @@ def fresh_move(spec, points):
                        FiberConfig(points, spec.target))
 
 
+COMPOSITIONS = [tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
+                for n_cuts in range(3, 12)
+                for cuts in itertools.combinations(range(1, 12), n_cuts)]
+
+
 def test_graphs_and_moves_equal_fresh_construction_on_every_composition():
     """closure and candidate_moves share endpoint objects; the values equal
     the ones a fresh validated construction gives, over the whole universe."""
-    compositions = [tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
-                    for n_cuts in range(3, 12)
-                    for cuts in itertools.combinations(range(1, 12), n_cuts)]
-    assert len(compositions) == 1981
-    for composition in compositions:
+    assert len(COMPOSITIONS) == 1981
+    for composition in COMPOSITIONS:
         config = cfg(composition)
         for mode in GraphMode:
             data = _closure_tuples(composition, mode)
@@ -226,6 +229,53 @@ def test_graphs_and_moves_equal_fresh_construction_on_every_composition():
             moves = candidate_moves(config, p)
             assert moves == tuple(fresh_move(s, config.points) for s in _move_specs(composition, p))
             assert all(move.source is config for move in moves)
+
+
+def test_moves_keep_fiber_count_and_admissible_targets_on_every_composition():
+    """The premises of the once-per-start gate: a move keeps every position,
+    and a target of at most 5 fibers has an admissible partition; the p = 2
+    parity bound leaves nothing for the sum test to find."""
+    for composition in COMPOSITIONS:
+        for p in CLOSURE_PRIMES:
+            for spec in _move_specs(composition, p):
+                assert len(spec.target) == len(composition), (composition, spec)
+                if len(composition) <= 5:
+                    assert descending(spec.target) in ADMISSIBLE_PARTITIONS, (composition, spec)
+        if excludes_two_torsion(cfg(composition)):
+            assert _move_specs(composition, 2) == (), composition
+
+
+def per_node_gated_closure(start):
+    """Reference: breadth-first closure that tests every reached node against
+    the tables, discarding a covered node outside the start's class."""
+    kind, rows = _class_of(start)
+
+    def keep(node):
+        if node == start or descending(node) not in CLASS_INDEX:
+            return True
+        return node in (TABLE_ROWS if kind == "uncovered" else rows)
+
+    queue, paths, edges = [start], {start: ()}, set()
+    while queue:
+        node = queue.pop(0)
+        for p in CLOSURE_PRIMES:
+            for spec in _move_specs(node, p):
+                if not keep(spec.target):
+                    continue
+                edges |= {spec, _dual_spec(spec)}
+                if spec.target not in paths:
+                    paths[spec.target] = paths[node] + (spec,)
+                    queue.append(spec.target)
+    return paths, edges
+
+
+def test_gated_closure_equals_per_node_gate_on_every_composition():
+    for composition in COMPOSITIONS:
+        data = _closure_tuples(composition, GraphMode.CATALOG_GATED)
+        paths, edges = per_node_gated_closure(composition)
+        assert data.nodes == tuple(sorted(paths)), composition
+        assert set(data.edges) == edges and len(data.edges) == len(edges), composition
+        assert data.paths == paths, composition
 
 
 BEAUVILLE_COLUMNS = {

@@ -54,6 +54,10 @@ def test_make_product_conflicting_labels():
         make_product(left, right, {"P1": "P1", "P2": "P2", "P3": "P3"})  # P4 collides
     with pytest.raises(ConflictingLabels):
         make_product(left, right, {"P1": "P1", "P2": "P1", "P3": "P2", "P4": "P3"})
+    with pytest.raises(ConflictingLabels, match="alignment keys not among right factor points"):
+        make_product(left, right, {"Q1": "P1"})
+    with pytest.raises(ConflictingLabels, match="alignment targets not among left factor points"):
+        make_product(left, right, {"P1": "Q1"})
 
 
 def test_diagram_invariants():
@@ -62,6 +66,12 @@ def test_diagram_invariants():
     with pytest.raises(MalformedInput):
         ProductDiagram(("P1", "P2", "P3", "P4", "P5"),
                        ((3, 9), (3, 1), (3, 1), (3, 1), (0, 0)))
+    with pytest.raises(MalformedInput, match="one point label per fiber pair"):
+        ProductDiagram(("P1", "P2", "P3"), ((3, 9), (3, 1), (3, 1), (3, 1)))
+    with pytest.raises(MalformedInput, match="point labels must be pairwise distinct"):
+        ProductDiagram(("P1", "P1", "P3", "P4"), ((3, 9), (3, 1), (3, 1), (3, 1)))
+    with pytest.raises(MalformedInput, match="fiber indices must be non-negative"):
+        ProductDiagram(("P1", "P2", "P3", "P4"), ((3, 9), (3, 1), (-3, 1), (9, 1)))
     # indices are never coerced: 3.9 is not read as 3, nor '3' as 3
     for pairs in (((3.9, 9), (3, 1), (3, 1), (3.1, 1)), (("3", 9), (3, 1), (3, 1), (3, 1))):
         with pytest.raises(MalformedInput, match="fiber indices must be integers"):
@@ -118,6 +128,18 @@ def test_apply_move_side_mismatch():
     move = candidate_moves(parse_config("4422"), 2)[0]
     with pytest.raises(SideMismatch):
         apply_move(d, "left", move)
+    with pytest.raises(SideMismatch) as excinfo:
+        apply_move(d, "right", candidate_moves(parse_config("3333"), 3)[0])
+    assert str(excinfo.value) == (
+        "right factor is (9, 1, 1, 1) over ('P1', 'P2', 'P3', 'P4'), "
+        "move starts from (3, 3, 3, 3) over ('P1', 'P2', 'P3', 'P4')")
+
+
+def test_apply_move_rejects_unknown_side():
+    d = make_product(parse_config("3333"), parse_config("9111"))
+    move = candidate_moves(left_config(d), 3)[0]
+    with pytest.raises(MalformedInput, match="side must be 'left' or 'right', got 'middle'"):
+        apply_move(d, "middle", move)
 
 
 def test_apply_move_preserves_counts_and_sums():
