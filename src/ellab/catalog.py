@@ -22,10 +22,9 @@ rather than guessing; the tables cover 4 and 5 fibers only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .configs import MIN_FIBERS, TOTAL_INDEX, _canonical_json, descending, index_text
+from .configs import MIN_FIBERS, TOTAL_INDEX, _Record, _canonical_json, descending, index_text
 from .errors import MalformedInput, NotInCatalog, SumNot12, TooFewFibers
 
 
@@ -38,23 +37,24 @@ class Admissibility(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """Everything the catalog records about one partition."""
 
-    partition: tuple[int, ...]
-    modular_group_name: str | None = None
-    quartic_equation: str | None = None
-    branch_component_degrees: tuple[int, ...] | None = None
-    i2_node_induced: bool | None = None
-    distinguished_positions: tuple[int, ...] | None = None
+    __slots__ = ("partition", "modular_group_name", "quartic_equation",
+                 "branch_component_degrees", "i2_node_induced", "distinguished_positions")
 
-    def __post_init__(self):
-        if sum(self.partition) != TOTAL_INDEX:
-            raise SumNot12(f"catalog partition sums to {sum(self.partition)}")
-        if descending(self.partition) != tuple(self.partition):
-            raise MalformedInput(f"catalog partition not descending: {self.partition}")
-        degrees = self.branch_component_degrees
+    def __init__(self, partition: tuple[int, ...], modular_group_name: str | None = None,
+                 quartic_equation: str | None = None,
+                 branch_component_degrees: tuple[int, ...] | None = None,
+                 i2_node_induced: bool | None = None,
+                 distinguished_positions: tuple[int, ...] | None = None):
+        self._set_fields(partition, modular_group_name, quartic_equation,
+                         branch_component_degrees, i2_node_induced, distinguished_positions)
+        if sum(partition) != TOTAL_INDEX:
+            raise SumNot12(f"catalog partition sums to {sum(partition)}")
+        if descending(partition) != tuple(partition):
+            raise MalformedInput(f"catalog partition not descending: {partition}")
+        degrees = branch_component_degrees
         if degrees is not None and sum(degrees) != 4:
             raise MalformedInput(f"branch component degrees must sum to 4: {degrees}")
 

@@ -8,8 +8,8 @@ labels are opaque identifiers, no coordinates are modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .errors import MalformedInput, SumNot12, TooFewFibers
 
@@ -17,16 +17,58 @@ TOTAL_INDEX = 12
 MIN_FIBERS = 4
 
 
-@dataclass(frozen=True)
-class FiberConfig:
+class _Record:
+    """Base of the immutable value types: ``__slots__`` names the fields in
+    constructor order and ``_compared``, if not all of them, the ones
+    equality and hash read.  Each ``__init__`` validates and sets every slot
+    once."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        # at least two names, so the key is the tuple of compared fields
+        cls._key = attrgetter(*getattr(cls, "_compared", cls.__slots__))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set_fields(self, *values):
+        """Set the slots in ``__slots__`` order.  Only the types of five or
+        more fields use it: with fewer, one ``object.__setattr__`` per field
+        is faster."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__, so a copy or an unpickled value is re-validated
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class FiberConfig(_Record):
     """Singular fibers I_{k_i} over labeled base points, indices summing to 12."""
 
-    points: tuple[str, ...]
-    indices: tuple[int, ...]
+    __slots__ = ("points", "indices")
 
-    def __post_init__(self):
-        points = tuple(self.points)
-        indices = tuple(self.indices)
+    def __init__(self, points: tuple[str, ...], indices: tuple[int, ...]):
+        points = tuple(points)
+        indices = tuple(indices)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "indices", indices)
         if len(points) != len(indices):
@@ -65,7 +107,7 @@ def parse_config(text: str, labels=None) -> FiberConfig:
         except ValueError:
             raise MalformedInput(f"not a comma separated list of integers: {text!r}") from None
     else:
-        if not text.isdigit():
+        if not text.isdecimal():
             raise MalformedInput(f"not a digit string: {text!r}")
         indices = tuple(int(ch) for ch in text)
     points = tuple(labels) if labels is not None else default_points(len(indices))

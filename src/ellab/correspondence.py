@@ -21,11 +21,10 @@ rigidity.  Anything else is honestly NotCertified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import catalog_lookup
-from .configs import _canonical_json, descending, index_text
+from .configs import _Record, _canonical_json, descending, index_text
 from .errors import HypothesesNotMet, MalformedInput
 from .kummer import (LONE_I2_OBSTRUCTIONS, KummerReport, _node_count,
                      _report_payload, kummer_input_from_catalog, kummer_rigidity)
@@ -44,10 +43,12 @@ class CaseKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class HypothesisCase:
-    kind: CaseKind
-    reason: str | None = None
+class HypothesisCase(_Record):
+    __slots__ = ("kind", "reason")
+
+    def __init__(self, kind: CaseKind, reason: str | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "reason", reason)
 
 
 class CertificateKind(Enum):
@@ -59,15 +60,14 @@ class CertificateKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: CertificateKind
-    case: HypothesisCase
-    diagram: ProductDiagram | None = None
-    moves: tuple[AppliedMove, ...] = ()
-    kummer_report: KummerReport | None = None
-    reasons: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
+class Certificate(_Record):
+    __slots__ = ("kind", "case", "diagram", "moves", "kummer_report", "reasons", "warnings")
+
+    def __init__(self, kind: CertificateKind, case: HypothesisCase,
+                 diagram: ProductDiagram | None = None, moves: tuple[AppliedMove, ...] = (),
+                 kummer_report: KummerReport | None = None, reasons: tuple[str, ...] = (),
+                 warnings: tuple[str, ...] = ()):
+        self._set_fields(kind, case, diagram, moves, kummer_report, reasons, warnings)
 
 
 def classify_hypotheses(d: ProductDiagram) -> HypothesisCase:

@@ -18,14 +18,13 @@ components.  The embedded class tables resolve that ambiguity, and
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import NamedTuple
 
 from . import catalog
-from .configs import (FiberConfig, TOTAL_INDEX, _canonical_json, descending,
+from .configs import (FiberConfig, TOTAL_INDEX, _Record, _canonical_json, descending,
                       index_text, render_config)
 from .errors import MalformedInput, NotInCatalog, NotPrime
 
@@ -80,36 +79,36 @@ def halved_sum(p: int) -> int | None:
     return TOTAL_INDEX * p // (p + 1)
 
 
-@dataclass(frozen=True)
-class IsogenyMove:
+class IsogenyMove(_Record):
     """One p-isogeny: indices at ``divided_positions`` divided by p, all others multiplied."""
 
-    p: int
-    divided_positions: tuple[int, ...]
-    source: FiberConfig
-    target: FiberConfig
+    __slots__ = ("p", "divided_positions", "source", "target")
 
-    def __post_init__(self):
-        object.__setattr__(self, "divided_positions", tuple(self.divided_positions))
-        divided = set(self.divided_positions)
-        src, dst = self.source, self.target
-        if src.points != dst.points:
+    def __init__(self, p: int, divided_positions: tuple[int, ...], source: FiberConfig,
+                 target: FiberConfig):
+        divided_positions = tuple(divided_positions)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "divided_positions", divided_positions)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        divided = set(divided_positions)
+        if source.points != target.points:
             raise MalformedInput("move endpoints must share base points")
-        if not divided or len(divided) != len(self.divided_positions):
-            raise MalformedInput(f"divided positions must be distinct and non-empty: {self.divided_positions}")
-        if not divided <= set(range(len(src))):
-            raise MalformedInput(f"divided positions out of range: {self.divided_positions}")
-        total = halved_sum(self.p)
+        if not divided or len(divided) != len(divided_positions):
+            raise MalformedInput(f"divided positions must be distinct and non-empty: {divided_positions}")
+        if not divided <= set(range(len(source))):
+            raise MalformedInput(f"divided positions out of range: {divided_positions}")
+        total = halved_sum(p)
         if total is None:
-            raise MalformedInput(f"no {self.p}-isogeny keeps the index sum at 12: 12p/(p+1) is not an integer")
-        if sum(src.indices[i] for i in divided) != total:
-            raise MalformedInput(f"divided indices must sum to {total} for p={self.p}")
-        for i, (a, b) in enumerate(zip(src.indices, dst.indices)):
+            raise MalformedInput(f"no {p}-isogeny keeps the index sum at 12: 12p/(p+1) is not an integer")
+        if sum(source.indices[i] for i in divided) != total:
+            raise MalformedInput(f"divided indices must sum to {total} for p={p}")
+        for i, (a, b) in enumerate(zip(source.indices, target.indices)):
             if i in divided:
-                if a % self.p or b != a // self.p:
-                    raise MalformedInput(f"position {i}: {a} must divide to {a}//{self.p}")
-            elif b != self.p * a:
-                raise MalformedInput(f"position {i}: {a} must multiply to {self.p * a}")
+                if a % p or b != a // p:
+                    raise MalformedInput(f"position {i}: {a} must divide to {a}//{p}")
+            elif b != p * a:
+                raise MalformedInput(f"position {i}: {a} must multiply to {p * a}")
 
 
 class _MoveSpec(NamedTuple):
@@ -123,7 +122,7 @@ def _target_of(indices, p, divided):
     return tuple(k // p if i in divided else p * k for i, k in enumerate(indices))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=None)  # keys: compositions of 12 (at most 1,981) x primes asked for
 def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
     total = halved_sum(p)
     if total is None:
@@ -253,13 +252,16 @@ def _closure_tuples(start: tuple[int, ...], mode: GraphMode) -> _ClosureData:
     return _ClosureData(nodes, edge_list, paths)
 
 
-@dataclass(frozen=True)
-class IsogenyGraph:
+class IsogenyGraph(_Record):
     """Closure of a configuration under prime isogeny moves."""
 
-    nodes: tuple[FiberConfig, ...]
-    edges: tuple[IsogenyMove, ...]
-    mode: GraphMode
+    __slots__ = ("nodes", "edges", "mode")
+
+    def __init__(self, nodes: tuple[FiberConfig, ...], edges: tuple[IsogenyMove, ...],
+                 mode: GraphMode):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "mode", mode)
 
 
 def closure(config: FiberConfig, mode: GraphMode = GraphMode.COMBINATORIAL) -> IsogenyGraph:

@@ -32,12 +32,11 @@ one rule.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
 from .catalog import catalog_lookup
-from .configs import _canonical_json, descending
+from .configs import _Record, _canonical_json, descending
 from .errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
 from .product import ProductDiagram, _factors, _obstructions
 
@@ -84,23 +83,20 @@ def default_node_count(diagram: ProductDiagram) -> int | None:
     return _node_count(diagram.pairs)
 
 
-@dataclass(frozen=True)
-class KummerInput:
-    diagram: ProductDiagram
-    node_count: int | None
-    left_degrees: tuple[int, ...]
-    right_degrees: tuple[int, ...]
-    i2_flags: tuple[tuple[str, bool], ...]  # (point label, node_induced), sorted
+class KummerInput(_Record):
+    __slots__ = ("diagram", "node_count", "left_degrees", "right_degrees", "i2_flags")
 
-    def __post_init__(self):
-        if self.node_count is not None and self.node_count < 0:
-            raise MalformedInput(f"node count must be non-negative, got {self.node_count}")
-        for degrees in (self.left_degrees, self.right_degrees):
+    def __init__(self, diagram: ProductDiagram, node_count: int | None,
+                 left_degrees: tuple[int, ...], right_degrees: tuple[int, ...],
+                 i2_flags: tuple[tuple[str, bool], ...]):  # (point label, node_induced), sorted
+        self._set_fields(diagram, node_count, left_degrees, right_degrees, i2_flags)
+        if node_count is not None and node_count < 0:
+            raise MalformedInput(f"node count must be non-negative, got {node_count}")
+        for degrees in (left_degrees, right_degrees):
             if sum(degrees) != 4:
                 raise MalformedInput(f"branch component degrees must sum to 4: {degrees}")
-        expected = {pt for pt, (a, b) in zip(self.diagram.points, self.diagram.pairs)
-                    if {a, b} == {2, 0}}
-        flagged = {pt for pt, _ in self.i2_flags}
+        expected = {pt for pt, (a, b) in zip(diagram.points, diagram.pairs) if {a, b} == {2, 0}}
+        flagged = {pt for pt, _ in i2_flags}
         if flagged != expected:
             raise MissingFlag(
                 f"node flags must cover exactly the I2 x I0 points {sorted(expected)}, "
@@ -176,16 +172,15 @@ def equisingular_zero(inp: KummerInput) -> bool:
     return all(flag for _, flag in inp.i2_flags)
 
 
-@dataclass(frozen=True)
-class KummerReport:
-    points: tuple[str, ...]
-    fixed_counts: tuple[int, ...]
-    node_count: int
-    euler: int
-    component_min: int
-    component_max: int
-    rationality: Rationality
-    equisingular_zero: bool
+class KummerReport(_Record):
+    __slots__ = ("points", "fixed_counts", "node_count", "euler", "component_min",
+                 "component_max", "rationality", "equisingular_zero")
+
+    def __init__(self, points: tuple[str, ...], fixed_counts: tuple[int, ...], node_count: int,
+                 euler: int, component_min: int, component_max: int,
+                 rationality: Rationality, equisingular_zero: bool):
+        self._set_fields(points, fixed_counts, node_count, euler, component_min,
+                         component_max, rationality, equisingular_zero)
 
     @property
     def transversal_zero(self) -> bool:

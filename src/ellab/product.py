@@ -10,40 +10,40 @@ criterion is applied symmetrically in the two factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Literal
 
 from . import catalog
-from .configs import FiberConfig, MIN_FIBERS, TOTAL_INDEX, _canonical_json, descending
+from .configs import FiberConfig, MIN_FIBERS, TOTAL_INDEX, _Record, _canonical_json, descending
 from .errors import ConflictingLabels, MalformedInput, SideMismatch, TooFewFibers
 from .isogeny import GraphMode, IsogenyMove, _closure_tuples
 
 Side = Literal["left", "right"]
 
 
-@dataclass(frozen=True)
-class AppliedMove:
+class AppliedMove(_Record):
     """Log record: an isogeny move applied to one factor of a product."""
 
-    side: Side
-    move: IsogenyMove
+    __slots__ = ("side", "move")
+
+    def __init__(self, side: Side, move: IsogenyMove):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "move", move)
 
 
-@dataclass(frozen=True)
-class ProductDiagram:
+class ProductDiagram(_Record):
     """Per-point index pairs of S1 x_P1 S2; every listed point is singular
     for at least one factor.  The move log is provenance, not identity."""
 
-    points: tuple[str, ...]
-    pairs: tuple[tuple[int, int], ...]
-    log: tuple[AppliedMove, ...] = field(default=(), compare=False)
+    __slots__ = ("points", "pairs", "log")
+    _compared = ("points", "pairs")
 
-    def __post_init__(self):
-        points = tuple(self.points)
-        pairs = tuple((a, b) for a, b in self.pairs)
+    def __init__(self, points: tuple[str, ...], pairs: tuple[tuple[int, int], ...],
+                 log: tuple[AppliedMove, ...] = ()):
+        points = tuple(points)
+        pairs = tuple((a, b) for a, b in pairs)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "log", tuple(self.log))
+        object.__setattr__(self, "log", tuple(log))
         if len(points) != len(pairs):
             raise MalformedInput("one point label per fiber pair required")
         if len(set(points)) != len(points):

@@ -15,14 +15,13 @@ The criteria are not jointly complete, so a genuine Unknown region remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from math import prod
 
 from . import catalog
-from .configs import FiberConfig, descending, odd_index_count, partition_of, render_config
+from .configs import FiberConfig, _Record, descending, odd_index_count, partition_of, render_config
 from .errors import NotPrime, TorsionContradiction, UnsupportedPrime
 from .isogeny import _is_prime, _move_specs
 
@@ -48,13 +47,13 @@ class Provenance(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TorsionStatus:
-    answer: TorsionAnswer
-    provenances: tuple[Provenance, ...] = ()
+class TorsionStatus(_Record):
+    __slots__ = ("answer", "provenances")
 
-    def __post_init__(self):
-        if (self.answer is TorsionAnswer.UNKNOWN) != (not self.provenances):
+    def __init__(self, answer: TorsionAnswer, provenances: tuple[Provenance, ...] = ()):
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "provenances", provenances)
+        if (answer is TorsionAnswer.UNKNOWN) != (not provenances):
             raise TorsionContradiction("Yes/No must carry a provenance, Unknown none")
 
     def __str__(self):

@@ -223,6 +223,13 @@ def test_product_bad_align_exit_2(capsys):
         assert err == f"error: {message}\n"
 
 
+def test_non_decimal_digits_exit_2(capsys):
+    code, out, err = run(capsys, "torsion", "²²²²²²", "-p", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: not a digit string: '²²²²²²'\n"
+
+
 def test_module_entry_point():
     import os
     repo = Path(__file__).resolve().parents[1]
@@ -233,3 +240,18 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "5511\n1155\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    """Starting the CLI imports neither dataclasses nor what it pulls in;
+    -S keeps site's own imports out of the check."""
+    import os
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, ellab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -36,6 +36,8 @@ def test_parse_custom_labels():
     ("", MalformedInput),
     ("3,3,3,-3", MalformedInput),
     ("30303", MalformedInput),
+    ("²²²²", MalformedInput),
+    ("3³33", MalformedInput),
 ])
 def test_parse_errors(text, error):
     with pytest.raises(error):

@@ -10,12 +10,12 @@ import pytest
 from ellab.catalog import (ADMISSIBLE_PARTITIONS, ALL_CLASSES, Admissibility, CLASS_INDEX,
                            FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES, TABLE_ROWS, admissible)
 from ellab.configs import FiberConfig, default_points, descending, parse_config
-from ellab.errors import MalformedInput, NotInCatalog, NotPrime
+from ellab.errors import MalformedInput, NotInCatalog, NotPrime, TorsionContradiction
 from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
                            _class_of, _closure_tuples, _dual_spec, _is_prime, _move_specs,
                            candidate_moves, catalog_class, closure, dual_move, graph_to_json,
                            graph_to_tsv, halved_sum)
-from ellab.torsion import excludes_two_torsion
+from ellab.torsion import _table_move_partitions, excludes_two_torsion, torsion_status
 
 
 def cfg(indices, labels=None):
@@ -229,6 +229,25 @@ def test_graphs_and_moves_equal_fresh_construction_on_every_composition():
             moves = candidate_moves(config, p)
             assert moves == tuple(fresh_move(s, config.points) for s in _move_specs(composition, p))
             assert all(move.source is config for move in moves)
+
+
+def test_move_specs_cache_never_evicts_within_a_universe_pass():
+    """A cold pass of closure in both modes and torsion for p = 2, 3, 5 over
+    every composition computes each move list once: no entry is evicted and
+    asked for again."""
+    for cache in (_move_specs, _closure_tuples, _table_move_partitions):
+        cache.cache_clear()
+    for composition in COMPOSITIONS:
+        config = cfg(composition)
+        for mode in GraphMode:
+            closure(config, mode)
+        for p in (2, 3, 5):
+            try:
+                torsion_status(config, p)
+            except TorsionContradiction:
+                pass
+    info = _move_specs.cache_info()
+    assert info.misses == info.currsize
 
 
 def test_moves_keep_fiber_count_and_admissible_targets_on_every_composition():
