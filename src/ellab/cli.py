@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from . import catalog
-from .configs import FiberConfig, _canonical_json, index_text, parse_config, partition_of
+from .configs import (FiberConfig, _canonical_json, _parse_int, index_text, parse_config,
+                      partition_of)
 from .correspondence import (CertificateKind, certificate_to_json, certify,
                              render_certificate)
 from .errors import EllabError, MalformedInput
@@ -86,7 +87,7 @@ def _parse_alignment(spec, left, right):
         if cell == "_":
             continue
         try:
-            position = int(cell)
+            position = _parse_int(cell)
         except ValueError:
             raise MalformedInput(f"bad --align entry {cell!r}") from None
         if not 1 <= position <= len(left.points):
@@ -125,6 +126,14 @@ def _cmd_certify(args) -> int:
     return 0 if cert.kind is not CertificateKind.NOT_CERTIFIED else 1
 
 
+def _int_arg(text):
+    """argparse type of the integer options, through :func:`_parse_int`."""
+    try:
+        return _parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellab",
@@ -139,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torsion", help="p-torsion section status of a configuration")
     p.add_argument("config", help="configuration, e.g. 53211 or 5,3,2,1,1")
-    p.add_argument("-p", type=int, required=True, help="prime, one of 2 3 5")
+    p.add_argument("-p", type=_int_arg, required=True, help="prime, one of 2 3 5")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_torsion)
 
@@ -160,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kummer", help="Kummer rigidity report for a diagram")
     p.add_argument("diagram", help="e.g. '4,4,2,1,1 / 6,2,_,3,1'")
-    p.add_argument("--delta", type=int, help="node count of the fixed curve")
+    p.add_argument("--delta", type=_int_arg, help="node count of the fixed curve")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_kummer)
 
     p = sub.add_parser("certify", help="certify a diagram against a rigid partner")
     p.add_argument("diagram")
-    p.add_argument("--delta", type=int, help="node count for the Kummer route")
+    p.add_argument("--delta", type=_int_arg, help="node count for the Kummer route")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_certify)
 

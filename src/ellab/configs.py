@@ -18,17 +18,20 @@ MIN_FIBERS = 4
 
 
 class _Record:
-    """Base of the immutable value types: ``__slots__`` names the fields in
-    constructor order and ``_compared``, if not all of them, the ones
-    equality and hash read.  Each ``__init__`` validates and sets every slot
-    once."""
+    """Base of the immutable value types: ``_fields``, by default
+    ``__slots__``, names the fields in constructor order and ``_compared``,
+    if not all of them, the ones equality and hash read.  A field that is not
+    a slot is a property over private slots.  Each ``__init__`` validates and
+    sets every slot once."""
 
     __slots__ = ()
+    _fields: tuple[str, ...]
     _compared: tuple[str, ...]
 
     def __init_subclass__(cls):
+        cls._fields = getattr(cls, "_fields", cls.__slots__)
         # at least two names, so the key is the tuple of compared fields
-        cls._key = attrgetter(*getattr(cls, "_compared", cls.__slots__))
+        cls._key = attrgetter(*getattr(cls, "_compared", cls._fields))
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _set_fields(self, *values):
@@ -47,7 +50,7 @@ class _Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -58,7 +61,7 @@ class _Record:
 
     def __reduce__(self):
         # rebuild through __init__, so a copy or an unpickled value is re-validated
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 class FiberConfig(_Record):
@@ -103,15 +106,26 @@ def parse_config(text: str, labels=None) -> FiberConfig:
     if "," in text:
         parts = [part.strip() for part in text.split(",")]
         try:
-            indices = tuple(int(part) for part in parts)
+            indices = tuple(_parse_int(part) for part in parts)
         except ValueError:
             raise MalformedInput(f"not a comma separated list of integers: {text!r}") from None
     else:
-        if not text.isdecimal():
-            raise MalformedInput(f"not a digit string: {text!r}")
-        indices = tuple(int(ch) for ch in text)
+        try:
+            indices = tuple(_parse_int(ch) for ch in text)
+        except ValueError:
+            raise MalformedInput(f"not a digit string: {text!r}") from None
     points = tuple(labels) if labels is not None else default_points(len(indices))
     return FiberConfig(points, indices)
+
+
+def _parse_int(text: str) -> int:
+    """An integer in ASCII digits with an optional leading '-'.  The one
+    integer parser for input text: ``int`` also takes other scripts' digits,
+    '+', '_' and surrounding whitespace."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def index_text(indices) -> str:

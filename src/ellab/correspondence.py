@@ -28,10 +28,9 @@ from .configs import _Record, _canonical_json, descending, index_text
 from .errors import HypothesesNotMet, MalformedInput
 from .kummer import (LONE_I2_OBSTRUCTIONS, KummerReport, _node_count,
                      _report_payload, kummer_input_from_catalog, kummer_rigidity)
-from .product import (AppliedMove, ProductDiagram, _admissible_factors,
-                      _factors, _move_record, _obstructions, _pair_rows,
-                      _partner, _representatives, common_singular_count,
-                      factors_share_class, find_rigid_partner, render_diagram)
+from .product import (AppliedMove, ProductDiagram, _admissible_factors, _move_records,
+                      _obstructions, _pair_rows, _partner, _representatives, _rigid_partner,
+                      common_singular_count, factors_share_class, render_diagram)
 
 
 class CaseKind(Enum):
@@ -61,13 +60,25 @@ class CertificateKind(Enum):
 
 
 class Certificate(_Record):
-    __slots__ = ("kind", "case", "diagram", "moves", "kummer_report", "reasons", "warnings")
+    __slots__ = ("kind", "case", "diagram", "_moves", "kummer_report", "reasons", "warnings")
+    _fields = ("kind", "case", "diagram", "moves", "kummer_report", "reasons", "warnings")
 
     def __init__(self, kind: CertificateKind, case: HypothesisCase,
                  diagram: ProductDiagram | None = None, moves: tuple[AppliedMove, ...] = (),
                  kummer_report: KummerReport | None = None, reasons: tuple[str, ...] = (),
                  warnings: tuple[str, ...] = ()):
-        self._set_fields(kind, case, diagram, moves, kummer_report, reasons, warnings)
+        self._set_fields(kind, case, diagram, (tuple(moves), ()), kummer_report, reasons, warnings)
+
+    @property
+    def moves(self) -> tuple[AppliedMove, ...]:
+        """The moves reaching the diagram.  A path from :func:`certify` is
+        read as the tail of the diagram's log on first read, and kept."""
+        moves, path = self._moves
+        if path:
+            log = self.diagram.log
+            moves = log[len(log) - len(path):]
+            object.__setattr__(self, "_moves", (moves, ()))
+        return moves
 
 
 def classify_hypotheses(d: ProductDiagram) -> HypothesisCase:
@@ -119,23 +130,20 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
     if factors_share_class(d):
         warnings = ("factors share an isogeny class; the constructions assume non-isogenous factors",)
 
-    found = find_rigid_partner(d)
+    found = _rigid_partner(d)
     if found is not None:
-        partner, moves = found
-        return Certificate(CertificateKind.RIGID_PRODUCT_PARTNER, case,
-                           diagram=partner, moves=moves, warnings=warnings)
+        return _certificate(CertificateKind.RIGID_PRODUCT_PARTNER, case, *found, warnings=warnings)
 
     reasons = ["no rigid fiber-product partner among the class representatives"]
     if case.kind is CaseKind.CASE_A:
         reasons.append("no five-fiber factor, so the Kummer route does not apply")
         return Certificate(CertificateKind.NOT_CERTIFIED, case,
                            reasons=tuple(reasons), warnings=warnings)
-    lefts, rights = (list(stream) for stream in _representatives(d))
+    lefts, rights = (_representatives(d, side) for side in (0, 1))
     candidates = [(l_tuple, r_tuple) for l_obstructions, l_tuple in lefts
                   for r_obstructions, r_tuple in rights
                   if (l_obstructions, r_obstructions) in LONE_I2_OBSTRUCTIONS]
-    inputs = _factors(d)
-    candidates.sort(key=lambda pair: pair != inputs)  # the input pair first
+    candidates.sort(key=lambda pair: pair != d._factors)  # the input pair first
     for l_tuple, r_tuple in candidates:
         five_partition = descending(l_tuple if len(l_tuple) == 5 else r_tuple)
         label = f"{index_text(l_tuple)} x {index_text(r_tuple)}"
@@ -148,17 +156,25 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
         if delta is None:
             reasons.append(f"kummer route {label}: node count of the fixed curve unknown")
             continue
-        candidate, moves = _partner(d, l_tuple, r_tuple)
+        candidate, path = _partner(d, l_tuple, r_tuple)
         report = kummer_rigidity(kummer_input_from_catalog(candidate, delta))
         if report.rigid:
-            return Certificate(CertificateKind.RIGID_KUMMER, case, diagram=candidate,
-                               moves=moves, kummer_report=report, warnings=warnings)
+            return _certificate(CertificateKind.RIGID_KUMMER, case, candidate, path,
+                                kummer_report=report, warnings=warnings)
         reasons.append(
             f"kummer route {label}: not rigid (euler {report.euler}, components "
             f"{report.component_min}..{report.component_max}, {report.rationality}, "
             f"equisingular_zero={report.equisingular_zero})")
     return Certificate(CertificateKind.NOT_CERTIFIED, case,
                        reasons=tuple(reasons), warnings=warnings)
+
+
+def _certificate(kind, case, diagram, path, **fields) -> Certificate:
+    """A certificate whose moves are ``path``, (side, _MoveSpec) pairs from
+    :func:`ellab.product._partner`, typed when they are read."""
+    cert = Certificate(kind, case, diagram, **fields)
+    object.__setattr__(cert, "_moves", ((), path))
+    return cert
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -170,7 +186,7 @@ def certificate_to_json(cert: Certificate) -> str:
             "points": list(cert.diagram.points),
             "pairs": [list(pair) for pair in cert.diagram.pairs],
         },
-        "moves": [_move_record(applied) for applied in cert.moves],
+        "moves": _move_records(cert._moves),
         "kummer": None if cert.kummer_report is None
         else _report_payload(cert.kummer_report),
         "reasons": list(cert.reasons),
@@ -183,12 +199,9 @@ def render_certificate(cert: Certificate) -> str:
     lines = [f"case: {cert.case.kind}", f"kind: {cert.kind}"]
     if cert.diagram is not None:
         lines.append(f"diagram: {render_diagram(cert.diagram)}")
-    if cert.moves:
-        for applied in cert.moves:
-            move = applied.move
-            lines.append(
-                f"move: {applied.side} p={move.p} "
-                f"{index_text(move.source.indices)} -> {index_text(move.target.indices)}")
+    for move in _move_records(cert._moves):
+        lines.append(f"move: {move['side']} p={move['p']} "
+                     f"{index_text(move['source'])} -> {index_text(move['target'])}")
     if cert.kummer_report is not None:
         report = cert.kummer_report
         lines.append(f"euler: {report.euler}")

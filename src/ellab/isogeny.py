@@ -91,24 +91,30 @@ class IsogenyMove(_Record):
         object.__setattr__(self, "divided_positions", divided_positions)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        divided = set(divided_positions)
         if source.points != target.points:
             raise MalformedInput("move endpoints must share base points")
-        if not divided or len(divided) != len(divided_positions):
-            raise MalformedInput(f"divided positions must be distinct and non-empty: {divided_positions}")
-        if not divided <= set(range(len(source))):
-            raise MalformedInput(f"divided positions out of range: {divided_positions}")
-        total = halved_sum(p)
-        if total is None:
-            raise MalformedInput(f"no {p}-isogeny keeps the index sum at 12: 12p/(p+1) is not an integer")
-        if sum(source.indices[i] for i in divided) != total:
-            raise MalformedInput(f"divided indices must sum to {total} for p={p}")
-        for i, (a, b) in enumerate(zip(source.indices, target.indices)):
-            if i in divided:
-                if a % p or b != a // p:
-                    raise MalformedInput(f"position {i}: {a} must divide to {a}//{p}")
-            elif b != p * a:
-                raise MalformedInput(f"position {i}: {a} must multiply to {p * a}")
+        _check_move(p, divided_positions, source.indices, target.indices)
+
+
+def _check_move(p, divided_positions, source, target):
+    """The move predicate on index tuples: ``target`` is ``source`` with the
+    indices at ``divided_positions`` divided by p and all others multiplied."""
+    divided = set(divided_positions)
+    if not divided or len(divided) != len(divided_positions):
+        raise MalformedInput(f"divided positions must be distinct and non-empty: {divided_positions}")
+    if not divided <= set(range(len(source))):
+        raise MalformedInput(f"divided positions out of range: {divided_positions}")
+    total = halved_sum(p)
+    if total is None:
+        raise MalformedInput(f"no {p}-isogeny keeps the index sum at 12: 12p/(p+1) is not an integer")
+    if sum(source[i] for i in divided) != total:
+        raise MalformedInput(f"divided indices must sum to {total} for p={p}")
+    for i, (a, b) in enumerate(zip(source, target)):
+        if i in divided:
+            if a % p or b != a // p:
+                raise MalformedInput(f"position {i}: {a} must divide to {a}//{p}")
+        elif b != p * a:
+            raise MalformedInput(f"position {i}: {a} must multiply to {p * a}")
 
 
 class _MoveSpec(NamedTuple):
@@ -136,6 +142,7 @@ def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
             target = _target_of(indices, p, divided)
             if len(target) <= 5 and descending(target) not in catalog.ADMISSIBLE_PARTITIONS:
                 continue  # the 4- and 5-fiber tables are complete, so this quotient cannot exist
+            _check_move(p, divided, indices, target)  # once per cache key, not per use
             specs.append(_MoveSpec(p, divided, indices, target))
     specs.sort(key=lambda s: (len(s.divided), s.divided))
     return tuple(specs)

@@ -38,7 +38,7 @@ from math import gcd
 from .catalog import catalog_lookup
 from .configs import _Record, _canonical_json, descending
 from .errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
-from .product import ProductDiagram, _factors, _obstructions
+from .product import ProductDiagram, _obstructions
 
 # The per-side obstructions (product._obstructions) of a lone I_2 x I_0
 # fiber, the only obstruction the Kummer route handles.
@@ -113,7 +113,7 @@ def make_kummer_input(diagram, left_degrees, right_degrees, i2_flags=None,
 def kummer_input_from_catalog(diagram: ProductDiagram, node_count=None) -> KummerInput:
     """Fill degrees and node flags from the catalog entries of the factors."""
     entries = []
-    for side, indices in zip(("left", "right"), _factors(diagram)):
+    for side, indices in zip(("left", "right"), diagram._factors):
         partition = descending(indices)
         entry = catalog_lookup(partition)
         if entry is None or entry.branch_component_degrees is None:

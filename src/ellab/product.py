@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import Literal
 
 from . import catalog
-from .configs import FiberConfig, MIN_FIBERS, TOTAL_INDEX, _Record, _canonical_json, descending
+from .configs import (FiberConfig, MIN_FIBERS, TOTAL_INDEX, _Record, _canonical_json, _parse_int,
+                      descending)
 from .errors import ConflictingLabels, MalformedInput, SideMismatch, TooFewFibers
-from .isogeny import GraphMode, IsogenyMove, _closure_tuples
+from .isogeny import GraphMode, IsogenyMove, _MoveSpec, _closure_tuples
 
 Side = Literal["left", "right"]
 
@@ -32,9 +33,12 @@ class AppliedMove(_Record):
 
 class ProductDiagram(_Record):
     """Per-point index pairs of S1 x_P1 S2; every listed point is singular
-    for at least one factor.  The move log is provenance, not identity."""
+    for at least one factor.  The move log is provenance, not identity.
+    ``_factors`` keeps the index tuples of the left and right factor,
+    projected once when the diagram is built."""
 
-    __slots__ = ("points", "pairs", "log")
+    __slots__ = ("points", "pairs", "_log", "_factors")
+    _fields = ("points", "pairs", "log")
     _compared = ("points", "pairs")
 
     def __init__(self, points: tuple[str, ...], pairs: tuple[tuple[int, int], ...],
@@ -43,7 +47,7 @@ class ProductDiagram(_Record):
         pairs = tuple((a, b) for a, b in pairs)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "log", tuple(log))
+        object.__setattr__(self, "_log", (tuple(log), ()))
         if len(points) != len(pairs):
             raise MalformedInput("one point label per fiber pair required")
         if len(set(points)) != len(points):
@@ -54,13 +58,35 @@ class ProductDiagram(_Record):
             raise MalformedInput("fiber indices must be non-negative")
         if any(a == 0 and b == 0 for a, b in pairs):
             raise MalformedInput("a diagram point must be singular for at least one factor")
-        factors = _factors(self)
+        left, right = [], []
+        for a, b in pairs:
+            if a:
+                left.append(a)
+            if b:
+                right.append(b)
+        factors = tuple(left), tuple(right)
+        object.__setattr__(self, "_factors", factors)
         for total in map(sum, factors):
             if total != TOTAL_INDEX:
                 raise MalformedInput(f"each factor must have index sum {TOTAL_INDEX}, got {total}")
         for indices in factors:
             if len(indices) < MIN_FIBERS:
                 raise TooFewFibers(f"need at least {MIN_FIBERS} singular fibers, got {len(indices)}")
+
+    @property
+    def log(self) -> tuple[AppliedMove, ...]:
+        """The applied moves.  A path the partner search appended as
+        (side, _MoveSpec) pairs is built through the public constructors on
+        first read, and kept."""
+        moves, path = self._log
+        if path:
+            points = {"left": _project(self, 0)[0], "right": _project(self, 1)[0]}
+            for side, spec in path:
+                source = FiberConfig(points[side], spec.source)
+                target = FiberConfig(points[side], spec.target)
+                moves += (AppliedMove(side, IsogenyMove(spec.p, spec.divided, source, target)),)
+            object.__setattr__(self, "_log", (moves, ()))
+        return moves
 
     @property
     def singular_count(self) -> int:
@@ -75,17 +101,6 @@ def _project(d: ProductDiagram, side: int):
     return tuple(points), tuple(indices)
 
 
-def _factors(d: ProductDiagram):
-    """Index tuples of the left and right factor, in one pass over the pairs."""
-    left, right = [], []
-    for a, b in d.pairs:
-        if a:
-            left.append(a)
-        if b:
-            right.append(b)
-    return tuple(left), tuple(right)
-
-
 def left_config(d: ProductDiagram) -> FiberConfig:
     """Left projection: drop the points where the left factor is smooth."""
     return FiberConfig(*_project(d, 0))
@@ -97,10 +112,9 @@ def right_config(d: ProductDiagram) -> FiberConfig:
 
 def _admissible_factors(d: ProductDiagram):
     """Index tuples of the left and right factor, both checked admissible."""
-    factors = _factors(d)
-    for name, indices in zip(("left factor", "right factor"), factors):
+    for name, indices in zip(("left factor", "right factor"), d._factors):
         catalog._check_admissible(indices, name)
-    return factors
+    return d._factors
 
 
 def make_product(c1: FiberConfig, c2: FiberConfig, alignment=None) -> ProductDiagram:
@@ -158,7 +172,7 @@ def is_rigid_criterion(d: ProductDiagram) -> bool:
 def factors_share_class(d: ProductDiagram) -> bool:
     """Whether the factor partitions lie in one isogeny class (the rigidity
     constructions assume non-isogenous factors; this is a warning, not an error)."""
-    left, right = _factors(d)
+    left, right = d._factors
     left_class = catalog.CLASS_INDEX.get(descending(left))
     return left_class is not None and left_class == catalog.CLASS_INDEX.get(descending(right))
 
@@ -173,7 +187,7 @@ def apply_move(d: ProductDiagram, side: Side, move: IsogenyMove) -> ProductDiagr
         raise SideMismatch(
             f"{side} factor is {current.indices} over {current.points}, "
             f"move starts from {move.source.indices} over {move.source.points}")
-    factors = list(_factors(d))
+    factors = list(d._factors)
     factors[index] = move.target.indices
     pairs = _pair_rows(d.pairs, *factors)
     return ProductDiagram(d.points, pairs, d.log + (AppliedMove(side, move),))
@@ -189,34 +203,45 @@ def _pair_rows(pairs, left_tuple, right_tuple):
     )
 
 
-def _representatives(d: ProductDiagram):
-    """Per factor, left then right, a lazy stream of (obstructions, node) over
-    its gated class in descending order.  Isogenies keep singular fibers in
-    place, so a node is tested once, against the other factor's input tuple."""
-    factors = _factors(d)
-
-    def stream(side):
-        tuples = list(factors)
-        for node in reversed(_closure_tuples(factors[side], GraphMode.CATALOG_GATED).nodes):
-            tuples[side] = node
-            yield _obstructions(_pair_rows(d.pairs, *tuples))[side], node
-
-    return stream(0), stream(1)
+def _representatives(d: ProductDiagram, side: int):
+    """(obstructions, node) over the gated class of factor ``side`` of ``d``
+    (0 left, 1 right) in descending order.  Isogenies keep singular fibers in
+    place, so a node's obstructions are its indices n >= 2 at the positions
+    facing a smooth fiber of the other factor, in the factor's own order."""
+    others = [pair[1 - side] for pair in d.pairs if pair[side]]
+    facing = [i for i, other in enumerate(others) if not other]
+    return [([node[i] for i in facing if node[i] >= 2], node)
+            for node in reversed(_closure_tuples(d._factors[side], GraphMode.CATALOG_GATED).nodes)]
 
 
 def _partner(d: ProductDiagram, l_tuple, r_tuple):
-    """The diagram of one representative pair and the moves reaching it
-    from ``d``: the left factor's closure path, then the right one's."""
-    moves = []
-    for side, index, target in (("left", 0, l_tuple), ("right", 1, r_tuple)):
-        points, indices = _project(d, index)
-        path = _closure_tuples(indices, GraphMode.CATALOG_GATED).paths[target]
-        chain = [FiberConfig(points, indices)] if path else []
-        for spec in path:
-            chain.append(FiberConfig(points, spec.target))
-            moves.append(AppliedMove(side, IsogenyMove(spec.p, spec.divided, chain[-2], chain[-1])))
-    moves = tuple(moves)
-    return ProductDiagram(d.points, _pair_rows(d.pairs, l_tuple, r_tuple), d.log + moves), moves
+    """The diagram of one representative pair and the path reaching it from
+    ``d``, (side, _MoveSpec) pairs: the left factor's closure path, then the
+    right one's.  The diagram's log is d's with the path appended, typed
+    when it is read."""
+    paths = (_closure_tuples(indices, GraphMode.CATALOG_GATED).paths[target]
+             for indices, target in zip(d._factors, (l_tuple, r_tuple)))
+    path = tuple([(side, spec) for side, specs in zip(("left", "right"), paths) for spec in specs])
+    partner = ProductDiagram(d.points, _pair_rows(d.pairs, l_tuple, r_tuple))
+    moves, tail = d._log
+    object.__setattr__(partner, "_log", (moves, tail + path))
+    return partner, path
+
+
+def _rigid_partner(d: ProductDiagram):
+    """:func:`find_rigid_partner` with the path as (side, _MoveSpec) pairs,
+    for a diagram whose factors are checked admissible."""
+    if is_rigid_criterion(d):
+        return d, ()
+    picks = []
+    for side in (0, 1):
+        node = next((node for obstructions, node in _representatives(d, side) if not obstructions), None)
+        if node is None:
+            return None
+        picks.append(node)
+    partner, path = _partner(d, *picks)
+    assert is_rigid_criterion(partner)
+    return partner, path
 
 
 def find_rigid_partner(d: ProductDiagram):
@@ -229,17 +254,11 @@ def find_rigid_partner(d: ProductDiagram):
     diagram and the applied move path, or None.
     """
     _admissible_factors(d)
-    if is_rigid_criterion(d):
-        return d, ()
-    picks = []
-    for stream in _representatives(d):
-        node = next((node for obstructions, node in stream if not obstructions), None)
-        if node is None:
-            return None
-        picks.append(node)
-    partner, moves = _partner(d, *picks)
-    assert is_rigid_criterion(partner)
-    return partner, moves
+    found = _rigid_partner(d)
+    if found is not None:
+        partner, path = found
+        found = partner, partner.log[len(partner.log) - len(path):]
+    return found
 
 
 def parse_diagram(text: str) -> ProductDiagram:
@@ -259,7 +278,7 @@ def parse_diagram(text: str) -> ProductDiagram:
                 values.append(0)
             else:
                 try:
-                    values.append(int(cell))
+                    values.append(_parse_int(cell))
                 except ValueError:
                     raise MalformedInput(f"bad diagram cell {cell!r}") from None
         return values
@@ -277,14 +296,13 @@ def render_diagram(d: ProductDiagram) -> str:
     return f"{top} / {bottom}"
 
 
-def _move_record(applied: AppliedMove) -> dict:
-    return {
-        "side": applied.side,
-        "p": applied.move.p,
-        "D": list(applied.move.divided_positions),
-        "source": list(applied.move.source.indices),
-        "target": list(applied.move.target.indices),
-    }
+def _move_records(log) -> list[dict]:
+    """JSON records of a (moves, path) log; the path is read as its specs."""
+    moves, path = log
+    typed = tuple((a.side, _MoveSpec(a.move.p, a.move.divided_positions, a.move.source.indices,
+                                     a.move.target.indices)) for a in moves)
+    return [{"side": side, "p": spec.p, "D": list(spec.divided), "source": list(spec.source),
+             "target": list(spec.target)} for side, spec in typed + path]
 
 
 def diagram_to_json(d: ProductDiagram) -> str:
@@ -292,6 +310,6 @@ def diagram_to_json(d: ProductDiagram) -> str:
         "schema": 1,
         "points": list(d.points),
         "pairs": [list(pair) for pair in d.pairs],
-        "log": [_move_record(applied) for applied in d.log],
+        "log": _move_records(d._log),
     }
     return _canonical_json(payload)

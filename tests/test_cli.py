@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ellab import catalog
 from ellab.cli import main
 from ellab.correspondence import certificate_to_json, certify
@@ -228,6 +230,34 @@ def test_non_decimal_digits_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: not a digit string: '²²²²²²'\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("class", "٩,1,1,1"), "not a comma separated list of integers: '٩,1,1,1'"),
+    (("class", "９111"), "not a digit string: '９111'"),
+    (("product", "4422", "6231", "--align", "١,2,3,4"), "bad --align entry '١'"),
+    (("certify", "+4,4,2,1,1 / 6,2,_,3,1"), "bad diagram cell '+4'"),
+    (("certify", "4,4,2,1,1 / 6,2,_,3,0_1"), "bad diagram cell '0_1'"),
+    (("kummer", "1_0,1,1,_ / 3,3,3,3"), "bad diagram cell '1_0'"),
+])
+def test_integers_take_ascii_digits_only(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, argv
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("torsion", "3333", "-p", "٣"),
+    ("torsion", "3333", "-p", "+3"),
+    ("certify", WORKED, "--delta", "２"),
+    ("kummer", WORKED, "--delta", "0_2"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"invalid int value: {argv[-1]!r}\n" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -38,6 +38,10 @@ def test_parse_custom_labels():
     ("30303", MalformedInput),
     ("²²²²", MalformedInput),
     ("3³33", MalformedInput),
+    ("٩,1,1,1", MalformedInput),     # int() takes any script's decimal digits
+    ("９111", MalformedInput),        # and so does str.isdecimal()
+    ("+9,1,1,1", MalformedInput),    # int() takes a sign
+    ("9,1,1_0", MalformedInput),     # int() reads '1_0' as 10
 ])
 def test_parse_errors(text, error):
     with pytest.raises(error):

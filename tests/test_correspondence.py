@@ -1,14 +1,18 @@
+import itertools
 import json
 
 import pytest
 
+from ellab.catalog import FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES
 from ellab.configs import FiberConfig, default_points, parse_config
 from ellab.correspondence import (CaseKind, CertificateKind, certificate_to_json,
-                                  certify, classify_hypotheses)
+                                  certify, classify_hypotheses, render_certificate)
 from ellab.errors import HypothesesNotMet, NotInCatalog
+from ellab.isogeny import GraphMode, IsogenyMove, _closure_tuples, candidate_moves
 from ellab.kummer import Rationality
-from ellab.product import (ProductDiagram, is_rigid_criterion, make_product,
-                           parse_diagram)
+from ellab.product import (AppliedMove, ProductDiagram, apply_move, find_rigid_partner,
+                           is_rigid_criterion, left_config, make_product, parse_diagram,
+                           right_config)
 
 WORKED_A = parse_diagram("4,4,2,1,1 / 6,2,_,3,1")
 WORKED_B = parse_diagram("3,3,2,3,1 / 8,2,_,1,1")
@@ -225,3 +229,85 @@ def test_case_b_with_unit_extra_point_is_already_rigid():
     assert cert.kind is CertificateKind.RIGID_PRODUCT_PARTNER
     assert cert.diagram == d
     assert cert.moves == ()
+
+
+def _sample(left_classes, right_classes, common, stride):
+    """Every ``stride``-th product of a left and a right table row whose
+    right positions sit over the first ``common`` left points, in turn."""
+    left_rows = [row for cls in left_classes for row in cls]
+    right_rows = [row for cls in right_classes for row in cls]
+    diagrams = []
+    for left_row, right_row in itertools.product(left_rows, right_rows):
+        for positions in itertools.permutations(range(len(right_row)), common):
+            labels = [f"Q{i}" for i in range(len(right_row))]
+            for k, position in enumerate(positions):
+                labels[position] = f"P{k + 1}"
+            diagrams.append(make_product(FiberConfig(default_points(len(left_row)), left_row),
+                                         FiberConfig(tuple(labels), right_row)))
+    return diagrams[::stride]
+
+
+CASE_A_SAMPLE = _sample(FOUR_FIBER_CLASSES, FOUR_FIBER_CLASSES, 3, 17)
+CASE_B_SAMPLE = _sample(FOUR_FIBER_CLASSES, FIVE_FIBER_CLASSES, 4, 55)
+
+
+def _eager_moves(d, partner):
+    """Reference: the moves from ``d`` to ``partner`` built at once, each
+    side's gated closure path over that side's points, left first."""
+    moves = []
+    for side, project in (("left", left_config), ("right", right_config)):
+        config = project(d)
+        path = _closure_tuples(config.indices, GraphMode.CATALOG_GATED).paths[project(partner).indices]
+        for spec in path:
+            move = IsogenyMove(spec.p, spec.divided, FiberConfig(config.points, spec.source),
+                               FiberConfig(config.points, spec.target))
+            moves.append(AppliedMove(side, move))
+    return tuple(moves)
+
+
+def test_lazy_move_log_equals_the_eager_one_and_is_kept():
+    checked = 0
+    for d in CASE_A_SAMPLE + CASE_B_SAMPLE:
+        try:
+            cert = certify(d)
+        except HypothesesNotMet:
+            continue
+        if cert.diagram is None:
+            continue
+        expected = _eager_moves(d, cert.diagram)
+        moves, log = cert.moves, cert.diagram.log
+        assert moves == expected and log == expected, d.pairs
+        assert cert.moves is moves and cert.diagram.log is log
+        assert all(a is b for a, b in zip(moves, log))
+        if cert.kind is CertificateKind.RIGID_PRODUCT_PARTNER:
+            assert find_rigid_partner(d) == (cert.diagram, expected)
+        checked += bool(expected)
+    assert checked > 300
+
+
+def test_partner_log_extends_the_input_log():
+    move = next(m for m in candidate_moves(left_config(SEEDED_CASE_A), 3)
+                if m.target.indices == (9, 1, 1, 1))
+    moved = apply_move(SEEDED_CASE_A, "left", move)
+    cert = certify(moved)
+    assert cert.kind is CertificateKind.RIGID_PRODUCT_PARTNER
+    assert cert.moves == _eager_moves(moved, cert.diagram) and len(cert.moves) == 1
+    assert json.loads(certificate_to_json(cert))["moves"][0]["side"] == "right"
+    assert cert.diagram.log == moved.log + cert.moves
+    assert json.loads(certificate_to_json(cert)) == json.loads(certificate_to_json(certify(moved)))
+
+
+def test_certify_and_its_writers_build_no_typed_move(monkeypatch):
+    built = []
+    init = IsogenyMove.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(IsogenyMove, "__init__", counting_init)
+    certs = [certify(d) for d in CASE_A_SAMPLE]
+    texts = [certificate_to_json(cert) + render_certificate(cert) for cert in certs]
+    assert not built
+    assert sum('"p":' in text for text in texts) > 300  # the writers did print moves
+    assert len(certify(SEEDED_CASE_A).moves) == len(built) == 2

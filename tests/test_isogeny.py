@@ -11,8 +11,10 @@ from ellab.catalog import (ADMISSIBLE_PARTITIONS, ALL_CLASSES, Admissibility, CL
                            FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES, TABLE_ROWS, admissible)
 from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.errors import MalformedInput, NotInCatalog, NotPrime, TorsionContradiction
+from ellab import isogeny
 from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
-                           _class_of, _closure_tuples, _dual_spec, _is_prime, _move_specs,
+                           _check_move, _class_of, _closure_tuples, _dual_spec, _is_prime,
+                           _move_specs,
                            candidate_moves, catalog_class, closure, dual_move, graph_to_json,
                            graph_to_tsv, halved_sum)
 from ellab.torsion import _table_move_partitions, excludes_two_torsion, torsion_status
@@ -248,6 +250,33 @@ def test_move_specs_cache_never_evicts_within_a_universe_pass():
                 pass
     info = _move_specs.cache_info()
     assert info.misses == info.currsize
+
+
+def test_every_move_spec_builds_a_valid_move():
+    """Every spec of the universe is a move the validating constructor accepts."""
+    built = 0
+    for composition in COMPOSITIONS:
+        points = default_points(len(composition))
+        for p in CLOSURE_PRIMES:
+            for spec in _move_specs(composition, p):
+                IsogenyMove(spec.p, spec.divided, FiberConfig(points, spec.source),
+                            FiberConfig(points, spec.target))
+                built += 1
+    assert built == 892
+
+
+def test_move_specs_checks_each_spec_when_it_creates_it(monkeypatch):
+    checked = []
+    monkeypatch.setattr(isogeny, "_check_move", lambda *spec: checked.append(spec))
+    _move_specs.cache_clear()
+    try:
+        specs = _move_specs((3, 3, 3, 3), 3)
+        assert _move_specs((3, 3, 3, 3), 3) is specs
+    finally:
+        _move_specs.cache_clear()
+    assert checked == [tuple(spec) for spec in specs] and len(specs) == 4
+    with pytest.raises(MalformedInput, match="position 3: 3 must divide to 3//3"):
+        _check_move(3, (1, 2, 3), (3, 3, 3, 3), (9, 1, 1, 3))
 
 
 def test_moves_keep_fiber_count_and_admissible_targets_on_every_composition():

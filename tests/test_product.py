@@ -1,13 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from ellab.catalog import ALL_CLASSES
-from ellab.configs import FiberConfig, default_points, parse_config
+from ellab.catalog import ADMISSIBLE_PARTITIONS, ALL_CLASSES
+from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.errors import (ConflictingLabels, MalformedInput, NotInCatalog, SideMismatch,
                           TooFewFibers)
-from ellab.isogeny import GraphMode, candidate_moves, closure
-from ellab.product import (ProductDiagram, apply_move, common_singular_count,
+from ellab.isogeny import GraphMode, _closure_tuples, candidate_moves, closure
+from ellab.product import (ProductDiagram, _obstructions, _pair_rows, _representatives,
+                           apply_move, common_singular_count,
                            diagram_to_json, factors_share_class,
                            find_rigid_partner, is_rigid_criterion, left_config,
                            make_product, parse_diagram, render_diagram,
@@ -201,6 +203,40 @@ def test_find_rigid_partner_matches_exhaustive_oracle(text, swap):
         assert moves
 
 
+def test_positional_test_equals_pair_rows_on_every_small_composition():
+    """Each admissible composition of at most 5 fibers, as either factor,
+    against every subset of its positions facing a smooth fiber: the
+    obstructions of each class node read off the facing positions equal what
+    ``_obstructions`` finds on the rows with the node substituted."""
+    cases = 0
+    for n_cuts in (3, 4):
+        for cuts in itertools.combinations(range(1, 12), n_cuts):
+            composition = tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
+            if descending(composition) not in ADMISSIBLE_PARTITIONS:
+                continue
+            nodes = tuple(reversed(_closure_tuples(composition, GraphMode.CATALOG_GATED).nodes))
+            n = len(composition)
+            for size in range(n + 1):
+                for facing in itertools.combinations(range(n), size):
+                    # the other factor: I_1 where not facing, then enough
+                    # points of its own to reach 4 fibers and index sum 12
+                    other = [0 if i in facing else 1 for i in range(n)]
+                    extra = max(1, 4 - (n - size))
+                    own = [12 - (n - size) - (extra - 1)] + [1] * (extra - 1)
+                    rows = list(zip(composition, other)) + [(0, k) for k in own]
+                    ones = tuple(k for k in other if k) + tuple(own)
+                    for side in (0, 1):
+                        pairs = rows if side == 0 else [(b, a) for a, b in rows]
+                        d = ProductDiagram(default_points(len(pairs)), pairs)
+                        expected = [
+                            (_obstructions(_pair_rows(pairs, *((node, ones) if side == 0
+                                                               else (ones, node))))[side], node)
+                            for node in nodes]
+                        assert _representatives(d, side) == expected
+                        cases += 1
+    assert cases == 2 * 9488  # 53 four-fiber compositions x 16 subsets, 270 five-fiber x 32
+
+
 def test_find_rigid_partner_already_rigid():
     d = make_product(parse_config("3333"), parse_config("9111"))
     partner, moves = find_rigid_partner(d)
@@ -257,6 +293,10 @@ def test_parse_render_diagram_round_trip():
     "4,4,2,1,1 / 6,2,_,3",            # ragged
     "4,4,2,1,1 / 6,2,x,3,1",          # bad cell
     "4,4,2,1,1 / 6,2,_,3,2",          # right sum 13
+    "+4,4,2,1,1 / 6,2,_,3,1",         # int() reads '+4' as 4
+    "4,4,2,1,1 / 6,2,_,3,0_1",        # int() reads '0_1' as 1
+    "1_0,1,1,_ / 3,3,3,3",            # int() reads '1_0' as 10
+    "4,4,2,1,1 / ６,2,_,3,1",          # a fullwidth digit
 ])
 def test_parse_diagram_errors(text):
     with pytest.raises(MalformedInput):
