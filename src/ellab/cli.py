@@ -3,24 +3,20 @@
 Thin wrappers over the library, with byte-stable output.  Exit codes:
 0 success, 1 domain-negative result (certification failed, catalog miss),
 2 input error.  See docs/formats.md for the exact formats.
+
+Each handler imports the modules it runs, and ``argparse`` is imported only
+to build the parser, so a call loads (and, with no bytecode cache, compiles)
+only what its subcommand needs.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from functools import lru_cache
 
-from . import catalog
 from .configs import (FiberConfig, _canonical_json, _parse_int, index_text, parse_config,
                       partition_of)
-from .correspondence import (CertificateKind, certificate_to_json, certify,
-                             render_certificate)
 from .errors import EllabError, MalformedInput
-from .isogeny import GraphMode, closure, graph_to_json, graph_to_tsv
-from .kummer import kummer_input_from_catalog, kummer_rigidity, render_report, report_to_json
-from .product import (diagram_to_json, factors_share_class, make_product,
-                      parse_diagram, render_diagram)
-from .torsion import torsion_status
 
 
 def _entry_line(entry):
@@ -41,6 +37,7 @@ def _entry_line(entry):
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
     entries = catalog.canonical_order(catalog.EMBEDDED_ENTRIES)
     if args.partition:
         partition = partition_of(parse_config(args.partition))
@@ -57,6 +54,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_torsion(args) -> int:
+    from .torsion import torsion_status
     status = torsion_status(parse_config(args.config), args.p)
     if args.json:
         payload = {
@@ -71,6 +69,7 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_class(args) -> int:
+    from .isogeny import GraphMode, closure, graph_to_json, graph_to_tsv
     mode = GraphMode.CATALOG_GATED if args.mode == "catalog" else GraphMode.COMBINATORIAL
     graph = closure(parse_config(args.config), mode)
     sys.stdout.write(graph_to_json(graph) if args.json else graph_to_tsv(graph))
@@ -97,6 +96,7 @@ def _parse_alignment(spec, left, right):
 
 
 def _cmd_product(args) -> int:
+    from .product import diagram_to_json, factors_share_class, make_product, render_diagram
     left = parse_config(args.left)
     right = parse_config(args.right)
     # fresh labels on the right so only the alignment identifies points
@@ -113,6 +113,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_kummer(args) -> int:
+    from .kummer import kummer_input_from_catalog, kummer_rigidity, render_report, report_to_json
+    from .product import parse_diagram
     diagram = parse_diagram(args.diagram)
     report = kummer_rigidity(kummer_input_from_catalog(diagram, args.delta))
     sys.stdout.write(report_to_json(report) if args.json else render_report(report))
@@ -120,6 +122,9 @@ def _cmd_kummer(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .correspondence import (CertificateKind, certificate_to_json, certify,
+                                 render_certificate)
+    from .product import parse_diagram
     diagram = parse_diagram(args.diagram)
     cert = certify(diagram, node_count=args.delta)
     sys.stdout.write(certificate_to_json(cert) if args.json else render_certificate(cert))
@@ -128,13 +133,20 @@ def _cmd_certify(args) -> int:
 
 def _int_arg(text):
     """argparse type of the integer options, through :func:`_parse_int`."""
+    import argparse
     try:
         return _parse_int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, shared by every :func:`main` call:
+    parsing does not change it, and argparse parsers are reference cycles
+    (each action points back at its container), so a parser per call would
+    leave its whole graph to the cyclic garbage collector."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="ellab",
         description="Classify semi-stable elliptic fiber configurations, their isogeny "

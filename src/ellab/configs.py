@@ -8,7 +8,7 @@ labels are opaque identifiers, no coordinates are modeled.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # what json.encoder re-exports, without the json package
 from operator import attrgetter
 
 from .errors import MalformedInput, SumNot12, TooFewFibers

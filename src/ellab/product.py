@@ -44,7 +44,9 @@ class ProductDiagram(_Record):
     def __init__(self, points: tuple[str, ...], pairs: tuple[tuple[int, int], ...],
                  log: tuple[AppliedMove, ...] = ()):
         points = tuple(points)
-        pairs = tuple((a, b) for a, b in pairs)
+        # from a list: a generator-fed tuple over-allocates, and the small
+        # tuples it frees pile up on CPython's free lists during a sweep
+        pairs = tuple([(a, b) for a, b in pairs])
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_log", (tuple(log), ()))
@@ -197,10 +199,10 @@ def _pair_rows(pairs, left_tuple, right_tuple):
     """Per-point (a, b) pairs after substituting factor representatives."""
     left_slots = iter(left_tuple)
     right_slots = iter(right_tuple)
-    return tuple(
+    return tuple([  # from a list, as in ProductDiagram.__init__
         (next(left_slots) if a > 0 else 0, next(right_slots) if b > 0 else 0)
         for a, b in pairs
-    )
+    ])
 
 
 def _representatives(d: ProductDiagram, side: int):

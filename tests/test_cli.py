@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ellab import catalog
-from ellab.cli import main
+from ellab.cli import build_parser, main
 from ellab.correspondence import certificate_to_json, certify
 from ellab.isogeny import closure, graph_to_json
 from ellab.configs import parse_config
@@ -260,6 +260,10 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
     assert f"invalid int value: {argv[-1]!r}\n" in capsys.readouterr().err
 
 
+def test_main_shares_one_parser():
+    assert build_parser() is build_parser()
+
+
 def test_module_entry_point():
     import os
     repo = Path(__file__).resolve().parents[1]
@@ -272,16 +276,55 @@ def test_module_entry_point():
     assert result.stdout == "5511\n1155\n"
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    """Starting the CLI imports neither dataclasses nor what it pulls in;
-    -S keeps site's own imports out of the check."""
+# What each command loads, as README's "What a command loads" lists it.
+_BASE = {"ellab", "ellab.cli", "ellab.configs", "ellab.errors"}
+_CATALOG = _BASE | {"ellab.catalog"}
+_CLASS = _CATALOG | {"ellab.isogeny"}
+_PRODUCT = _CLASS | {"ellab.product"}
+_LOADS = [
+    ("catalog", ["catalog", "4422"], 0, _CATALOG),
+    ("class", ["class", "44211", "--mode", "catalog"], 0, _CLASS),
+    ("torsion", ["torsion", "53211", "-p", "2"], 0, _CLASS | {"ellab.torsion"}),
+    ("product", ["product", "44211", "6231", "--align", "1,2,4,5"], 0, _PRODUCT),
+    ("kummer", ["kummer", WORKED], 0, _PRODUCT | {"ellab.kummer"}),
+    ("certify", ["certify", WORKED, "--json"], 0,
+     _PRODUCT | {"ellab.kummer", "ellab.correspondence"}),
+    ("help", ["--help"], 0, _BASE),
+    ("malformed", ["torsion", "53211"], 2, _BASE),
+]
+
+# Run in a child under -S, so site's own imports stay out of the check.
+_LOAD_PROBE = """\
+import io, sys
+import ellab.cli
+bare = sorted({"argparse", "json", "dataclasses", "inspect"} & set(sys.modules))
+sys.stdout = sys.stderr = io.StringIO()
+try:
+    code = ellab.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+print(code)
+print(" ".join(bare))
+print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "ellab")))
+print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+"""
+
+
+@pytest.mark.parametrize("argv, code, modules", [case[1:] for case in _LOADS],
+                         ids=[case[0] for case in _LOADS])
+def test_cli_loads_only_what_the_command_runs(argv, code, modules):
+    """A bare ``import ellab.cli`` loads neither argparse nor json (nor
+    dataclasses and inspect); each command then loads exactly its own
+    modules, and never dataclasses or inspect."""
     import os
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-    result = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, ellab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=env,
-    )
+    result = subprocess.run([sys.executable, "-S", "-c", _LOAD_PROBE, *argv],
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    exit_code, bare, loaded, heavy = result.stdout.split("\n")[:4]
+    assert int(exit_code) == code
+    assert bare == ""
+    assert set(loaded.split()) == modules
+    assert heavy == ""
