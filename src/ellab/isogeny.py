@@ -148,6 +148,16 @@ def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
     return tuple(specs)
 
 
+def _spec_of(move):
+    return _MoveSpec(move.p, move.divided_positions, move.source.indices, move.target.indices)
+
+
+def _typed_move(spec, config):
+    """``spec`` as an :class:`IsogenyMove`, through its validating
+    constructor; ``config`` gives the FiberConfig of an index tuple."""
+    return IsogenyMove(spec.p, spec.divided, config(spec.source), config(spec.target))
+
+
 def candidate_moves(config: FiberConfig, p: int) -> tuple[IsogenyMove, ...]:
     """All combinatorially possible p-moves out of ``config``.
 
@@ -155,19 +165,19 @@ def candidate_moves(config: FiberConfig, p: int) -> tuple[IsogenyMove, ...]:
     partition is known not to occur (4 or 5 fibers, absent from the tables)
     are pruned, everything else is kept.
     """
-    return tuple(IsogenyMove(p, spec.divided, config, FiberConfig(config.points, spec.target))
-                 for spec in _move_specs(config.indices, p))
-
-
-def dual_move(move: IsogenyMove) -> IsogenyMove:
-    """The inverse isogeny: divide exactly the complementary positions."""
-    complement = tuple(i for i in range(len(move.source)) if i not in move.divided_positions)
-    return IsogenyMove(move.p, complement, move.target, move.source)
+    def node(indices):
+        return config if indices == config.indices else FiberConfig(config.points, indices)
+    return tuple(_typed_move(spec, node) for spec in _move_specs(config.indices, p))
 
 
 def _dual_spec(spec: _MoveSpec) -> _MoveSpec:
     complement = tuple(i for i in range(len(spec.source)) if i not in spec.divided)
     return _MoveSpec(spec.p, complement, spec.target, spec.source)
+
+
+def dual_move(move: IsogenyMove) -> IsogenyMove:
+    """The inverse isogeny: divide exactly the complementary positions."""
+    return IsogenyMove(move.p, _dual_spec(_spec_of(move)).divided, move.target, move.source)
 
 
 def _matchings(row, start):
@@ -233,42 +243,77 @@ class _ClosureData(NamedTuple):
     paths: dict  # node tuple -> tuple of _MoveSpec from the start
 
 
+# keys per universe pass (closure in both modes of every composition): 2,476,
+# 1,981 combinatorial and 495 gated starts of at most five fibers, each asked
+# for once, so an eviction there costs no second search
 @lru_cache(maxsize=1024)
 def _closure_tuples(start: tuple[int, ...], mode: GraphMode) -> _ClosureData:
+    """The breadth-first closure of ``start`` on index tuples: sorted nodes,
+    the kept moves out of every node sorted by source, prime and divided
+    positions, and each node's first-found path from the start.  Read it
+    through :func:`_closure_entry`, which gives a start of more than five
+    fibers one entry for both modes.
+
+    Each edge's dual is the kept move back from its target, so every edge is
+    a ``_move_specs`` spec, checked once when it was created.  The way back
+    exists because a source with a move is admissible or has more than five
+    fibers (no composition with an inadmissible partition has a move), and
+    the gate keeps it because it holds every node that has a move.
+    """
     gate = None  # one row set per start, see closure()
     if mode is GraphMode.CATALOG_GATED and len(start) <= 5:
         kind, rows = _class_of(start)
         gate = catalog.TABLE_ROWS if kind == "uncovered" else frozenset(rows)
     queue = [start]
     paths = {start: ()}
-    edges = {}
-    while queue:
-        node = queue.pop(0)
+    edges = []
+    for node in queue:  # walks the nodes appended below, in order
         for p in CLOSURE_PRIMES:
             for spec in _move_specs(node, p):
                 if gate is not None and spec.target not in gate:
                     continue
-                edges[(spec.p, spec.divided, spec.source)] = spec
-                dual = _dual_spec(spec)
-                edges[(dual.p, dual.divided, dual.source)] = dual
+                edges.append(spec)
                 if spec.target not in paths:
                     paths[spec.target] = paths[node] + (spec,)
                     queue.append(spec.target)
     nodes = tuple(sorted(paths))
-    edge_list = tuple(sorted(edges.values(), key=lambda s: (s.source, s.p, s.divided)))
+    edge_list = tuple(sorted(edges, key=lambda s: (s.source, s.p, s.divided)))
     return _ClosureData(nodes, edge_list, paths)
 
 
-class IsogenyGraph(_Record):
-    """Closure of a configuration under prime isogeny moves."""
+def _closure_entry(start, mode):
+    """The :func:`_closure_tuples` entry of ``start`` in ``mode``.  Beyond
+    five fibers the gated closure has no gate, so both modes read the
+    combinatorial entry: one search and one cache key per start."""
+    return _closure_tuples(start, GraphMode.COMBINATORIAL if len(start) > 5 else mode)
 
-    __slots__ = ("nodes", "edges", "mode")
+
+class IsogenyGraph(_Record):
+    """Closure of a configuration under prime isogeny moves.
+
+    A graph :func:`closure` returns holds its edges as the closure's
+    ``_MoveSpec``s; ``edges`` builds them through the public constructors,
+    over the graph's own node objects, the first time it is read, and keeps
+    them.  Built directly, a graph holds the typed edges it is given.
+    """
+
+    __slots__ = ("nodes", "_edges", "mode")
+    _fields = ("nodes", "edges", "mode")
 
     def __init__(self, nodes: tuple[FiberConfig, ...], edges: tuple[IsogenyMove, ...],
                  mode: GraphMode):
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_edges", (edges, ()))
         object.__setattr__(self, "mode", mode)
+
+    @property
+    def edges(self):
+        moves, specs = self._edges
+        if specs:
+            config = {node.indices: node for node in self.nodes}.__getitem__
+            moves += tuple(_typed_move(spec, config) for spec in specs)
+            object.__setattr__(self, "_edges", (moves, ()))
+        return moves
 
 
 def closure(config: FiberConfig, mode: GraphMode = GraphMode.COMBINATORIAL) -> IsogenyGraph:
@@ -279,15 +324,17 @@ def closure(config: FiberConfig, mode: GraphMode = GraphMode.COMBINATORIAL) -> I
     start's class column (transported to the start's positions, see
     :func:`catalog_class`), only the start when that column is ambiguous,
     the literal table rows when the start's partition is not admissible,
-    and no gate beyond 5 fibers.  Moves keep positions and drop every
-    inadmissible target of at most 5 fibers, so this equals discarding each
-    reached node the tables cover that is not in the start's class.
-    Combinatorial mode never reads the tables.
+    and no gate beyond 5 fibers, where both modes share one cached closure.
+    Moves keep positions and drop every inadmissible target of at most 5
+    fibers, so this equals discarding each reached node the tables cover
+    that is not in the start's class.  Combinatorial mode never reads the
+    tables.  The graph's edges are typed when first read (see
+    :class:`IsogenyGraph`).
     """
-    data = _closure_tuples(config.indices, mode)
-    nodes = {t: FiberConfig(config.points, t) for t in data.nodes}
-    edges = tuple(IsogenyMove(s.p, s.divided, nodes[s.source], nodes[s.target]) for s in data.edges)
-    return IsogenyGraph(tuple(nodes.values()), edges, mode)
+    data = _closure_entry(config.indices, mode)
+    graph = IsogenyGraph(tuple(FiberConfig(config.points, t) for t in data.nodes), (), mode)
+    object.__setattr__(graph, "_edges", ((), data.edges))
+    return graph
 
 
 def catalog_class(config: FiberConfig) -> tuple[FiberConfig, ...]:
@@ -322,7 +369,9 @@ def graph_to_tsv(graph: IsogenyGraph) -> str:
 
 
 def graph_to_json(graph: IsogenyGraph) -> str:
-    """Canonical JSON: nodes as index arrays, edges by node list position."""
+    """Canonical JSON: nodes as index arrays, edges by node list position,
+    read as specs, so the edges of a graph from :func:`closure` stay untyped."""
+    moves, specs = graph._edges
     node_index = {node.indices: i for i, node in enumerate(graph.nodes)}
     payload = {
         "schema": 1,
@@ -330,13 +379,9 @@ def graph_to_json(graph: IsogenyGraph) -> str:
         "points": list(graph.nodes[0].points) if graph.nodes else [],
         "nodes": [list(node.indices) for node in graph.nodes],
         "edges": [
-            {
-                "p": move.p,
-                "D": list(move.divided_positions),
-                "from": node_index[move.source.indices],
-                "to": node_index[move.target.indices],
-            }
-            for move in graph.edges
+            {"p": spec.p, "D": list(spec.divided), "from": node_index[spec.source],
+             "to": node_index[spec.target]}
+            for spec in tuple(map(_spec_of, moves)) + specs
         ],
     }
     return _canonical_json(payload)

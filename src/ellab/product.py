@@ -10,13 +10,14 @@ criterion is applied symmetrically in the two factors.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Literal
 
 from . import catalog
 from .configs import (FiberConfig, MIN_FIBERS, TOTAL_INDEX, _Record, _canonical_json, _parse_int,
                       descending)
 from .errors import ConflictingLabels, MalformedInput, SideMismatch, TooFewFibers
-from .isogeny import GraphMode, IsogenyMove, _MoveSpec, _closure_tuples
+from .isogeny import GraphMode, IsogenyMove, _closure_entry, _spec_of, _typed_move
 
 Side = Literal["left", "right"]
 
@@ -82,11 +83,9 @@ class ProductDiagram(_Record):
         first read, and kept."""
         moves, path = self._log
         if path:
-            points = {"left": _project(self, 0)[0], "right": _project(self, 1)[0]}
-            for side, spec in path:
-                source = FiberConfig(points[side], spec.source)
-                target = FiberConfig(points[side], spec.target)
-                moves += (AppliedMove(side, IsogenyMove(spec.p, spec.divided, source, target)),)
+            config = {"left": partial(FiberConfig, _project(self, 0)[0]),
+                      "right": partial(FiberConfig, _project(self, 1)[0])}
+            moves += tuple(AppliedMove(side, _typed_move(spec, config[side])) for side, spec in path)
             object.__setattr__(self, "_log", (moves, ()))
         return moves
 
@@ -213,7 +212,7 @@ def _representatives(d: ProductDiagram, side: int):
     others = [pair[1 - side] for pair in d.pairs if pair[side]]
     facing = [i for i, other in enumerate(others) if not other]
     return [([node[i] for i in facing if node[i] >= 2], node)
-            for node in reversed(_closure_tuples(d._factors[side], GraphMode.CATALOG_GATED).nodes)]
+            for node in reversed(_closure_entry(d._factors[side], GraphMode.CATALOG_GATED).nodes)]
 
 
 def _partner(d: ProductDiagram, l_tuple, r_tuple):
@@ -221,7 +220,7 @@ def _partner(d: ProductDiagram, l_tuple, r_tuple):
     ``d``, (side, _MoveSpec) pairs: the left factor's closure path, then the
     right one's.  The diagram's log is d's with the path appended, typed
     when it is read."""
-    paths = (_closure_tuples(indices, GraphMode.CATALOG_GATED).paths[target]
+    paths = (_closure_entry(indices, GraphMode.CATALOG_GATED).paths[target]
              for indices, target in zip(d._factors, (l_tuple, r_tuple)))
     path = tuple([(side, spec) for side, specs in zip(("left", "right"), paths) for spec in specs])
     partner = ProductDiagram(d.points, _pair_rows(d.pairs, l_tuple, r_tuple))
@@ -301,8 +300,7 @@ def render_diagram(d: ProductDiagram) -> str:
 def _move_records(log) -> list[dict]:
     """JSON records of a (moves, path) log; the path is read as its specs."""
     moves, path = log
-    typed = tuple((a.side, _MoveSpec(a.move.p, a.move.divided_positions, a.move.source.indices,
-                                     a.move.target.indices)) for a in moves)
+    typed = tuple((a.side, _spec_of(a.move)) for a in moves)
     return [{"side": side, "p": spec.p, "D": list(spec.divided), "source": list(spec.source),
              "target": list(spec.target)} for side, spec in typed + path]
 

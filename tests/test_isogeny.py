@@ -13,8 +13,8 @@ from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.errors import MalformedInput, NotInCatalog, NotPrime, TorsionContradiction
 from ellab import isogeny
 from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
-                           _check_move, _class_of, _closure_tuples, _dual_spec, _is_prime,
-                           _move_specs,
+                           _check_move, _class_of, _closure_entry, _closure_tuples, _dual_spec,
+                           _is_prime, _move_specs,
                            candidate_moves, catalog_class, closure, dual_move, graph_to_json,
                            graph_to_tsv, halved_sum)
 from ellab.torsion import _table_move_partitions, excludes_two_torsion, torsion_status
@@ -263,6 +263,90 @@ def test_every_move_spec_builds_a_valid_move():
                             FiberConfig(points, spec.target))
                 built += 1
     assert built == 892
+
+
+def test_cold_universe_pass_searches_each_closure_once():
+    """Beyond five fibers both modes read one entry: a cold pass of closure
+    in both modes searches 1,981 combinatorial and 495 gated closures."""
+    for cache in (_move_specs, _closure_tuples):
+        cache.cache_clear()
+    for composition in COMPOSITIONS:
+        for mode in GraphMode:
+            closure(cfg(composition), mode)
+    assert _closure_tuples.cache_info().misses == 1981 + 495 == 2476
+
+
+def test_gated_closure_beyond_five_fibers_is_the_combinatorial_one():
+    beyond = [composition for composition in COMPOSITIONS if len(composition) > 5]
+    assert len(beyond) == 1486
+    for composition in beyond:
+        shared = _closure_entry(composition, GraphMode.CATALOG_GATED)
+        assert shared is _closure_entry(composition, GraphMode.COMBINATORIAL), composition
+        # the search with the mode as given finds the same nodes, edges and paths
+        assert _closure_tuples(composition, GraphMode.CATALOG_GATED) == shared, composition
+
+
+def test_closure_invariants_on_every_composition():
+    """Every edge's dual is an edge, both endpoints of every edge are nodes,
+    and the gated nodes lie inside the combinatorial ones, for every
+    composition."""
+    for composition in COMPOSITIONS:
+        nodes = {}
+        for mode in GraphMode:
+            graph = closure(cfg(composition), mode)
+            nodes[mode] = {node.indices for node in graph.nodes}
+            assert composition in nodes[mode]
+            edges = set(graph.edges)
+            for move in edges:
+                assert {move.source.indices, move.target.indices} <= nodes[mode], (composition, move)
+                assert dual_move(move) in edges, (composition, mode, move)
+        assert nodes[GraphMode.CATALOG_GATED] <= nodes[GraphMode.COMBINATORIAL], composition
+
+
+def test_every_closure_edge_spec_was_checked_when_created(monkeypatch):
+    """A closure's edges are typed only when read, so every spec it holds
+    must have passed _check_move when it was created: over a cold pass of
+    every composition in both modes, each edge spec is one that was checked."""
+    checked = set()
+    check = isogeny._check_move
+
+    def recording_check(*spec):
+        check(*spec)
+        checked.add(spec)
+
+    monkeypatch.setattr(isogeny, "_check_move", recording_check)
+    for cache in (_move_specs, _closure_tuples):
+        cache.cache_clear()
+    held = set()
+    for composition in COMPOSITIONS:
+        for mode in GraphMode:
+            held.update(closure(cfg(composition), mode)._edges[1])
+    assert len(held) == 892 and held <= checked
+
+
+def test_closure_and_its_writers_build_no_typed_move(monkeypatch):
+    """closure, graph_to_tsv and graph_to_json build no IsogenyMove; reading
+    ``edges`` builds each edge once, over the graph's own nodes, and the JSON
+    is the same before and after, and for the graph built from typed edges."""
+    built = []
+    init = IsogenyMove.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(IsogenyMove, "__init__", counting_init)
+    graphs = [closure(cfg(composition), mode) for composition in COMPOSITIONS for mode in GraphMode]
+    texts = [graph_to_tsv(graph) + graph_to_json(graph) for graph in graphs]
+    assert not built
+    assert sum(text.count('"p":') for text in texts) == 8482  # the writer did print edges
+    assert sum(len(graph.edges) for graph in graphs) == len(built) == 8482
+    assert all(graph.edges is graph.edges for graph in graphs) and len(built) == 8482
+    for graph, text in zip(graphs, texts):
+        typed = IsogenyGraph(graph.nodes, graph.edges, graph.mode)
+        assert graph_to_tsv(graph) + graph_to_json(typed) == text == graph_to_tsv(typed) + graph_to_json(graph)
+        nodes = {id(node) for node in graph.nodes}
+        assert all(id(m.source) in nodes and id(m.target) in nodes for m in graph.edges)
 
 
 def test_move_specs_checks_each_spec_when_it_creates_it(monkeypatch):
