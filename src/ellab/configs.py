@@ -35,9 +35,9 @@ class _Record:
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _set_fields(self, *values):
-        """Set the slots in ``__slots__`` order.  Only the types of five or
-        more fields use it: with fewer, one ``object.__setattr__`` per field
-        is faster."""
+        """Set the slots in ``__slots__`` order.  The types of five or more
+        fields use it, and constructors off the hot path: with fewer fields,
+        one ``object.__setattr__`` per field is faster."""
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
@@ -148,10 +148,6 @@ def descending(indices) -> tuple[int, ...]:
 def partition_of(config: FiberConfig) -> tuple[int, ...]:
     """Descending multiset of indices; positions and labels discarded."""
     return descending(config.indices)
-
-
-def odd_index_count(indices) -> int:
-    return sum(1 for k in indices if k % 2)
 
 
 _JSON_SCALARS = {

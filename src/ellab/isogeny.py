@@ -124,28 +124,25 @@ class _MoveSpec(NamedTuple):
     target: tuple[int, ...]
 
 
-def _target_of(indices, p, divided):
-    return tuple(k // p if i in divided else p * k for i, k in enumerate(indices))
-
-
 @lru_cache(maxsize=None)  # keys: compositions of 12 (at most 1,981) x primes asked for
 def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
     total = halved_sum(p)
     if total is None:
         return ()
     divisible = tuple(i for i, k in enumerate(indices) if k % p == 0)
+    if sum(indices[i] for i in divisible) < total:
+        return ()  # no subset of the divisible indices reaches the halved sum
     specs = []
     for size in range(1, len(divisible) + 1):
         for divided in combinations(divisible, size):
             if sum(indices[i] for i in divided) != total:
                 continue
-            target = _target_of(indices, p, divided)
+            target = tuple(k // p if i in divided else p * k for i, k in enumerate(indices))
             if len(target) <= 5 and descending(target) not in catalog.ADMISSIBLE_PARTITIONS:
                 continue  # the 4- and 5-fiber tables are complete, so this quotient cannot exist
             _check_move(p, divided, indices, target)  # once per cache key, not per use
             specs.append(_MoveSpec(p, divided, indices, target))
-    specs.sort(key=lambda s: (len(s.divided), s.divided))
-    return tuple(specs)
+    return tuple(specs)  # by subset size, then positions: the order combinations gives
 
 
 def _spec_of(move):
@@ -170,14 +167,10 @@ def candidate_moves(config: FiberConfig, p: int) -> tuple[IsogenyMove, ...]:
     return tuple(_typed_move(spec, node) for spec in _move_specs(config.indices, p))
 
 
-def _dual_spec(spec: _MoveSpec) -> _MoveSpec:
-    complement = tuple(i for i in range(len(spec.source)) if i not in spec.divided)
-    return _MoveSpec(spec.p, complement, spec.target, spec.source)
-
-
 def dual_move(move: IsogenyMove) -> IsogenyMove:
     """The inverse isogeny: divide exactly the complementary positions."""
-    return IsogenyMove(move.p, _dual_spec(_spec_of(move)).divided, move.target, move.source)
+    complement = tuple(i for i in range(len(move.source)) if i not in move.divided_positions)
+    return IsogenyMove(move.p, complement, move.target, move.source)
 
 
 def _matchings(row, start):
@@ -291,28 +284,39 @@ def _closure_entry(start, mode):
 class IsogenyGraph(_Record):
     """Closure of a configuration under prime isogeny moves.
 
-    A graph :func:`closure` returns holds its edges as the closure's
-    ``_MoveSpec``s; ``edges`` builds them through the public constructors,
-    over the graph's own node objects, the first time it is read, and keeps
-    them.  Built directly, a graph holds the typed edges it is given.
+    A graph :func:`closure` returns holds the start's points, its node index
+    tuples and its edges as the closure's ``_MoveSpec``s.  ``nodes`` builds
+    the ``FiberConfig``s through the public constructor the first time it is
+    read, and ``edges`` the ``IsogenyMove``s over those node objects; each
+    keeps what it built.  Built directly, a graph holds the typed nodes and
+    edges it is given beside their index tuples and specs.  The writers read
+    only the tuples and specs.
     """
 
-    __slots__ = ("nodes", "_edges", "mode")
+    __slots__ = ("_nodes", "_edges", "mode")
     _fields = ("nodes", "edges", "mode")
 
     def __init__(self, nodes: tuple[FiberConfig, ...], edges: tuple[IsogenyMove, ...],
                  mode: GraphMode):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_edges", (edges, ()))
-        object.__setattr__(self, "mode", mode)
+        points = nodes[0].points if nodes else ()
+        self._set_fields((tuple(node.indices for node in nodes), points, nodes),
+                         (tuple(map(_spec_of, edges)), edges), mode)
+
+    @property
+    def nodes(self):
+        tuples, points, nodes = self._nodes
+        if nodes is None:
+            nodes = tuple(FiberConfig(points, t) for t in tuples)
+            object.__setattr__(self, "_nodes", (tuples, points, nodes))
+        return nodes
 
     @property
     def edges(self):
-        moves, specs = self._edges
-        if specs:
+        specs, moves = self._edges
+        if moves is None:
             config = {node.indices: node for node in self.nodes}.__getitem__
-            moves += tuple(_typed_move(spec, config) for spec in specs)
-            object.__setattr__(self, "_edges", (moves, ()))
+            moves = tuple(_typed_move(spec, config) for spec in specs)
+            object.__setattr__(self, "_edges", (specs, moves))
         return moves
 
 
@@ -328,12 +332,14 @@ def closure(config: FiberConfig, mode: GraphMode = GraphMode.COMBINATORIAL) -> I
     Moves keep positions and drop every inadmissible target of at most 5
     fibers, so this equals discarding each reached node the tables cover
     that is not in the start's class.  Combinatorial mode never reads the
-    tables.  The graph's edges are typed when first read (see
-    :class:`IsogenyGraph`).
+    tables.  The graph keeps the cached index tuples and specs; its nodes
+    and edges are typed when first read (see :class:`IsogenyGraph`).
     """
     data = _closure_entry(config.indices, mode)
-    graph = IsogenyGraph(tuple(FiberConfig(config.points, t) for t in data.nodes), (), mode)
-    object.__setattr__(graph, "_edges", ((), data.edges))
+    graph = object.__new__(IsogenyGraph)
+    object.__setattr__(graph, "_nodes", (data.nodes, config.points, None))
+    object.__setattr__(graph, "_edges", (data.edges, None))
+    object.__setattr__(graph, "mode", mode)
     return graph
 
 
@@ -361,7 +367,7 @@ def graph_to_tsv(graph: IsogenyGraph) -> str:
     catalog's row order so the output can be diffed visually against the
     tables; otherwise rows are sorted lexicographically.
     """
-    tuples = sorted(node.indices for node in graph.nodes)
+    tuples = sorted(graph._nodes[0])
     position = catalog.CLASS_INDEX.get(descending(tuples[0])) if tuples else None
     if position is not None and set(tuples) == set(catalog.ALL_CLASSES[position]):
         tuples = catalog.ALL_CLASSES[position]
@@ -369,19 +375,20 @@ def graph_to_tsv(graph: IsogenyGraph) -> str:
 
 
 def graph_to_json(graph: IsogenyGraph) -> str:
-    """Canonical JSON: nodes as index arrays, edges by node list position,
-    read as specs, so the edges of a graph from :func:`closure` stay untyped."""
-    moves, specs = graph._edges
-    node_index = {node.indices: i for i, node in enumerate(graph.nodes)}
+    """Canonical JSON: nodes as index arrays, edges by node list position.
+    Both writers read index tuples and specs, so a graph from
+    :func:`closure` stays untyped."""
+    nodes, points, _ = graph._nodes
+    node_index = {node: i for i, node in enumerate(nodes)}
     payload = {
         "schema": 1,
         "mode": str(graph.mode),
-        "points": list(graph.nodes[0].points) if graph.nodes else [],
-        "nodes": [list(node.indices) for node in graph.nodes],
+        "points": list(points),
+        "nodes": [list(node) for node in nodes],
         "edges": [
             {"p": spec.p, "D": list(spec.divided), "from": node_index[spec.source],
              "to": node_index[spec.target]}
-            for spec in tuple(map(_spec_of, moves)) + specs
+            for spec in graph._edges[0]
         ],
     }
     return _canonical_json(payload)

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from math import prod
 
 from . import catalog
-from .configs import FiberConfig, _Record, descending, odd_index_count, partition_of, render_config
+from .configs import FiberConfig, _Record, descending, partition_of, render_config
 from .errors import NotPrime, TorsionContradiction, UnsupportedPrime
 from .isogeny import _is_prime, _move_specs
 
@@ -62,51 +61,59 @@ class TorsionStatus(_Record):
         return f"{self.answer} ({', '.join(str(p) for p in self.provenances)})"
 
 
-def _few_nondivisible(indices, p) -> bool:
+def _nondivisible(indices, p) -> list[int]:
+    """The positions whose index p does not divide: the one divisibility
+    scan of a query, read by both sufficient conditions and, for p=2, by
+    the parity bound."""
+    return [i for i, k in enumerate(indices) if k % p]
+
+
+def _few_nondivisible(nondivisible) -> bool:
     """First sufficient condition: at most three indices not divisible by p."""
-    return sum(1 for k in indices if k % p) <= 3
+    return len(nondivisible) <= 3
 
 
-def _subset_criterion(indices, p) -> bool:
+def _subset_criterion(indices, p, nondivisible) -> bool:
     """Second sufficient condition, quantified over all four-position subsets E
     containing every index not divisible by p.
 
     With k1..k4 the E-indices, n the fiber count and the rest running over
     the complement: for p=2 every remaining index must be divisible by 4 and
     (-1)^n k1k2k3k4 must differ from prod(k_i - 1) mod 8; for odd p the
-    product k1k2k3k4 must be a quadratic non-residue mod p.
+    product k1k2k3k4 must be a quadratic non-residue mod p.  It is read only
+    when the first condition fails, with at least four such indices, so E is
+    exactly their positions when there are four, and there is none beyond.
     """
-    n = len(indices)
-    nondivisible = [i for i, k in enumerate(indices) if k % p]
-    if len(nondivisible) > 4 or n < 4:
+    if len(nondivisible) != 4:
         return False
-    required = set(nondivisible)
-    for subset in combinations(range(n), 4):
-        if not required <= set(subset):
-            continue
-        head = prod(indices[i] for i in subset)
-        rest = [indices[i] for i in range(n) if i not in subset]
-        if p == 2:
-            if any(k % 4 for k in rest):
-                continue
-            if ((-1) ** n * head) % 8 != prod(k - 1 for k in rest) % 8:
-                return True
-        else:
-            if pow(head % p, (p - 1) // 2, p) == p - 1:
-                return True
-    return False
+    head = prod(indices[i] for i in nondivisible)
+    rest = [k for i, k in enumerate(indices) if i not in nondivisible]
+    if p == 2:
+        return not any(k % 4 for k in rest) and \
+            ((-1) ** len(indices) * head) % 8 != prod(k - 1 for k in rest) % 8
+    return pow(head % p, (p - 1) // 2, p) == p - 1
+
+
+def _sufficient(indices, p, nondivisible) -> bool:
+    """The sufficient criterion: either condition holds."""
+    return _few_nondivisible(nondivisible) or _subset_criterion(indices, p, nondivisible)
 
 
 def sufficient_torsion_criterion(config: FiberConfig, p: int) -> bool:
     """True guarantees a p-torsion section exists; False is inconclusive."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return _few_nondivisible(config.indices, p) or _subset_criterion(config.indices, p)
+    return _sufficient(config.indices, p, _nondivisible(config.indices, p))
+
+
+def _excludes_two_torsion(odd) -> bool:
+    """The parity bound on the positions ``odd`` of the odd indices."""
+    return len(odd) > 4
 
 
 def excludes_two_torsion(config: FiberConfig) -> bool:
     """More than four odd indices: no two-torsion section can exist."""
-    return odd_index_count(config.indices) > 4
+    return _excludes_two_torsion(_nondivisible(config.indices, 2))
 
 
 @lru_cache(maxsize=1)
@@ -129,17 +136,20 @@ def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
     Yes via the sufficient criterion, or via a class table containing a
     p-move from this partition.  No via the parity bound (p=2) or because
     no candidate move exists.  Both No provenances are reported when both
-    arguments fire.
+    arguments fire.  The positions whose index p does not divide are found
+    once per query; the sufficient criterion and, for p=2, the parity bound
+    read that one list (for p=2 it holds the odd indices).
     """
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedPrime(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
+    nondivisible = _nondivisible(config.indices, p)
     yes = []
-    if sufficient_torsion_criterion(config, p):
+    if _sufficient(config.indices, p, nondivisible):
         yes.append(Provenance.SUFFICIENT_CRITERION)
     elif (partition_of(config), p) in _table_move_partitions():
         yes.append(Provenance.CATALOG_TABLE)
     no = []
-    if p == 2 and excludes_two_torsion(config):
+    if p == 2 and _excludes_two_torsion(nondivisible):
         no.append(Provenance.NECESSARY_CRITERION)
     if not _move_specs(config.indices, p):
         no.append(Provenance.MOVE_NONEXISTENCE)

@@ -13,7 +13,7 @@ from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.errors import MalformedInput, NotInCatalog, NotPrime, TorsionContradiction
 from ellab import isogeny
 from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
-                           _check_move, _class_of, _closure_entry, _closure_tuples, _dual_spec,
+                           _check_move, _class_of, _closure_entry, _closure_tuples,
                            _is_prime, _move_specs,
                            candidate_moves, catalog_class, closure, dual_move, graph_to_json,
                            graph_to_tsv, halved_sum)
@@ -320,7 +320,7 @@ def test_every_closure_edge_spec_was_checked_when_created(monkeypatch):
     held = set()
     for composition in COMPOSITIONS:
         for mode in GraphMode:
-            held.update(closure(cfg(composition), mode)._edges[1])
+            held.update(closure(cfg(composition), mode)._edges[0])
     assert len(held) == 892 and held <= checked
 
 
@@ -347,6 +347,71 @@ def test_closure_and_its_writers_build_no_typed_move(monkeypatch):
         assert graph_to_tsv(graph) + graph_to_json(typed) == text == graph_to_tsv(typed) + graph_to_json(graph)
         nodes = {id(node) for node in graph.nodes}
         assert all(id(m.source) in nodes and id(m.target) in nodes for m in graph.edges)
+
+
+def exhaustive_specs(indices, p):
+    """Every p-move out of ``indices`` as (p, divided, source, target), found by
+    trying each subset of positions, smallest subsets first: the divided
+    indices are divisible by p and sum to 12p/(p+1), and a target of at most
+    five fibers has an admissible partition."""
+    total = 12 * p // (p + 1)  # whole for p in {2, 3, 5}
+    specs = []
+    for size in range(1, len(indices) + 1):
+        for divided in itertools.combinations(range(len(indices)), size):
+            if any(indices[i] % p for i in divided) or sum(indices[i] for i in divided) != total:
+                continue
+            target = tuple(k // p if i in divided else p * k for i, k in enumerate(indices))
+            if len(target) > 5 or descending(target) in ADMISSIBLE_PARTITIONS:
+                specs.append((p, divided, indices, target))
+    return specs
+
+
+def test_move_specs_equal_exhaustive_enumeration_on_every_composition():
+    """_move_specs lists every move an exhaustive subset search finds, in the
+    same order, and has none where the divisible indices sum below the
+    halved sum, which is where it stops before enumerating subsets."""
+    found = below = 0
+    for composition in COMPOSITIONS:
+        for p in CLOSURE_PRIMES:
+            specs = _move_specs(composition, p)
+            assert [tuple(spec) for spec in specs] == exhaustive_specs(composition, p), (composition, p)
+            found += len(specs)
+            if sum(k for k in composition if k % p == 0) < halved_sum(p):
+                below += 1
+                assert specs == (), (composition, p)
+        assert _move_specs(composition, 7) == ()
+    assert found == 892 and below == 5316
+
+
+def test_closure_and_its_writers_build_no_fiber_config(monkeypatch):
+    """closure, graph_to_tsv and graph_to_json build no FiberConfig; the first
+    ``nodes`` read builds one per node and keeps them, ``edges`` is typed over
+    them, and a graph rebuilt from its typed nodes and edges writes the same
+    TSV and JSON."""
+    starts = [cfg(composition) for composition in COMPOSITIONS]
+    built = []
+    init = FiberConfig.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FiberConfig, "__init__", counting_init)
+    graphs = [closure(start, mode) for start in starts for mode in GraphMode]
+    texts = [graph_to_tsv(graph) + graph_to_json(graph) for graph in graphs]
+    assert not built
+    for graph, text in zip(graphs, texts):
+        before = len(built)
+        nodes = graph.nodes
+        assert len(built) - before == len(nodes) and graph.nodes is nodes
+        assert all(args == (graph.nodes[0].points, node.indices)
+                   for args, node in zip(built[before:], nodes))
+        ids = {id(node) for node in nodes}
+        assert all(id(m.source) in ids and id(m.target) in ids for m in graph.edges)
+        typed = IsogenyGraph(nodes, graph.edges, graph.mode)
+        assert graph_to_tsv(typed) + graph_to_json(typed) == text
+        assert graph_to_tsv(graph) + graph_to_json(graph) == text
+    assert len(built) == sum(len(graph.nodes) for graph in graphs)
 
 
 def test_move_specs_checks_each_spec_when_it_creates_it(monkeypatch):
@@ -377,6 +442,12 @@ def test_moves_keep_fiber_count_and_admissible_targets_on_every_composition():
             assert _move_specs(composition, 2) == (), composition
 
 
+def dual_spec(spec):
+    """The move back along ``spec``: divide exactly the complementary positions."""
+    complement = tuple(i for i in range(len(spec.source)) if i not in spec.divided)
+    return type(spec)(spec.p, complement, spec.target, spec.source)
+
+
 def per_node_gated_closure(start):
     """Reference: breadth-first closure that tests every reached node against
     the tables, discarding a covered node outside the start's class."""
@@ -394,7 +465,7 @@ def per_node_gated_closure(start):
             for spec in _move_specs(node, p):
                 if not keep(spec.target):
                     continue
-                edges |= {spec, _dual_spec(spec)}
+                edges |= {spec, dual_spec(spec)}
                 if spec.target not in paths:
                     paths[spec.target] = paths[node] + (spec,)
                     queue.append(spec.target)

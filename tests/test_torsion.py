@@ -1,12 +1,15 @@
+import itertools
 import random
+from collections import Counter
+from math import prod
 
 import pytest
 
-from ellab.catalog import ALL_CLASSES
-from ellab.configs import FiberConfig, default_points, parse_config
-from ellab.errors import NotPrime, UnsupportedPrime
+from ellab.catalog import ADMISSIBLE_PARTITIONS, ALL_CLASSES
+from ellab.configs import FiberConfig, default_points, parse_config, render_config
+from ellab.errors import NotPrime, TorsionContradiction, UnsupportedPrime
 from ellab.isogeny import candidate_moves
-from ellab.torsion import (Provenance, TorsionAnswer, _few_nondivisible,
+from ellab.torsion import (Provenance, TorsionAnswer, _few_nondivisible, _nondivisible,
                            excludes_two_torsion, sufficient_torsion_criterion,
                            torsion_status)
 
@@ -110,8 +113,9 @@ def test_condition_one_monotone_under_divisible_append():
     for _ in range(500):
         p = rng.choice([2, 3, 5])
         indices = tuple(rng.randint(1, 9) for _ in range(rng.randint(4, 9)))
-        if _few_nondivisible(indices, p):
-            assert _few_nondivisible(indices + (p * rng.randint(1, 4),), p)
+        if _few_nondivisible(_nondivisible(indices, p)):
+            longer = indices + (p * rng.randint(1, 4),)
+            assert _few_nondivisible(_nondivisible(longer, p))
 
 
 def test_soundness_sweep_over_catalog_rows():
@@ -124,3 +128,81 @@ def test_soundness_sweep_over_catalog_rows():
                 no = p == 2 and excludes_two_torsion(config)
                 assert not (yes and no)
                 assert not (yes and not candidate_moves(config, p))
+
+
+COMPOSITIONS = [tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
+                for n_cuts in range(3, 12)
+                for cuts in itertools.combinations(range(1, 12), n_cuts)]
+
+
+def reference_moves(indices, p):
+    """Every p-move out of ``indices`` as (divided positions, target): the
+    divided indices are divisible by p and sum to 12p/(p+1), and a target of
+    at most five fibers has an admissible partition."""
+    if 12 * p % (p + 1):
+        return []
+    divisible = [i for i, k in enumerate(indices) if k % p == 0]
+    moves = []
+    for size in range(1, len(divisible) + 1):
+        for divided in itertools.combinations(divisible, size):
+            if sum(indices[i] for i in divided) != 12 * p // (p + 1):
+                continue
+            target = tuple(k // p if i in divided else p * k for i, k in enumerate(indices))
+            if len(target) > 5 or tuple(sorted(target, reverse=True)) in ADMISSIBLE_PARTITIONS:
+                moves.append((divided, target))
+    return moves
+
+
+def reference_sufficient(indices, p):
+    """The divisibility criterion as the module docstring states it: at most
+    three indices not divisible by p, or a four-position subset E holding all
+    of them whose indices pass the residue test."""
+    n = len(indices)
+    nondivisible = {i for i, k in enumerate(indices) if k % p}
+    if len(nondivisible) <= 3:
+        return True
+    for subset in itertools.combinations(range(n), 4):
+        if not nondivisible <= set(subset):
+            continue
+        head = prod(indices[i] for i in subset)
+        rest = [k for i, k in enumerate(indices) if i not in subset]
+        if p == 2:
+            if all(k % 4 == 0 for k in rest) and (-1) ** n * head % 8 != prod(k - 1 for k in rest) % 8:
+                return True
+        elif pow(head, (p - 1) // 2, p) == p - 1:
+            return True
+    return False
+
+
+def test_status_equals_the_three_arguments_on_every_composition():
+    """torsion_status over all 1,981 compositions and p in {2, 3, 5} equals a
+    reference built from the sufficient criterion, the parity bound and move
+    existence (with the class tables attesting moves), message for message."""
+    attested = {(tuple(sorted(row, reverse=True)), p)
+                for cls in ALL_CLASSES for row in cls for p in (2, 3, 5)
+                for _, target in reference_moves(row, p) if target in cls}
+    failing = Counter()
+    for composition in COMPOSITIONS:
+        config = cfg(composition)
+        for p in (2, 3, 5):
+            yes = ["SufficientCriterion"] if reference_sufficient(composition, p) else \
+                ["CatalogTable"] if (tuple(sorted(composition, reverse=True)), p) in attested else []
+            no = ["NecessaryCriterion"] if p == 2 and sum(k % 2 for k in composition) > 4 else []
+            if not reference_moves(composition, p):
+                no.append("MoveNonexistence")
+            if yes and no:
+                failing[p] += 1
+                expected = (f"{render_config(config)} p={p}: both {yes[0]} "
+                            f"and {', '.join(no)} fired")
+                with pytest.raises(TorsionContradiction) as raised:
+                    torsion_status(config, p)
+                assert str(raised.value) == expected
+                continue
+            answer, provenances = ("Yes", yes) if yes else ("No", no) if no else ("Unknown", [])
+            expected = f"{answer} ({', '.join(provenances)})" if provenances else answer
+            assert str(torsion_status(config, p)) == expected, (composition, p)
+    assert failing == {2: 172, 3: 116, 5: 108}
+    with pytest.raises(NotPrime):
+        sufficient_torsion_criterion(cfg(COMPOSITIONS[0]), 4)
+    with pytest.raises(UnsupportedPrime):
+        torsion_status(cfg(COMPOSITIONS[0]), 7)
