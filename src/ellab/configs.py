@@ -36,8 +36,10 @@ class _Record:
 
     def _set_fields(self, *values):
         """Set the slots in ``__slots__`` order.  The types of five or more
-        fields use it, and constructors off the hot path: with fewer fields,
-        one ``object.__setattr__`` per field is faster."""
+        fields use it, as do constructors off the hot path and the four-field
+        partner build of ``product._partner``: with fewer fields, one
+        ``object.__setattr__`` per field is slightly faster, but four such
+        lines compile larger than one."""
         for setter, value in zip(self._setters, values):
             setter(self, value)
 
@@ -90,8 +92,9 @@ class FiberConfig(_Record):
 
 
 def default_points(n: int) -> tuple[str, ...]:
-    """Auto-generated base point labels P1..Pn."""
-    return tuple(f"P{i}" for i in range(1, n + 1))
+    """Auto-generated base point labels P1..Pn (a list-fed tuple: see
+    ``ProductDiagram.__init__``)."""
+    return tuple([f"P{i}" for i in range(1, n + 1)])
 
 
 def parse_config(text: str, labels=None) -> FiberConfig:
@@ -103,17 +106,12 @@ def parse_config(text: str, labels=None) -> FiberConfig:
     text = text.strip()
     if not text:
         raise MalformedInput("empty configuration text")
-    if "," in text:
-        parts = [part.strip() for part in text.split(",")]
-        try:
-            indices = tuple(_parse_int(part) for part in parts)
-        except ValueError:
-            raise MalformedInput(f"not a comma separated list of integers: {text!r}") from None
-    else:
-        try:
-            indices = tuple(_parse_int(ch) for ch in text)
-        except ValueError:
-            raise MalformedInput(f"not a digit string: {text!r}") from None
+    csv = "," in text
+    try:
+        indices = tuple(map(_parse_int, map(str.strip, text.split(",")) if csv else text))
+    except ValueError:
+        form = "a comma separated list of integers" if csv else "a digit string"
+        raise MalformedInput(f"not {form}: {text!r}") from None
     points = tuple(labels) if labels is not None else default_points(len(indices))
     return FiberConfig(points, indices)
 
@@ -130,9 +128,7 @@ def _parse_int(text: str) -> int:
 
 def index_text(indices) -> str:
     """Compact digit form ("9111"), or CSV form when an index exceeds 9."""
-    if all(k <= 9 for k in indices):
-        return "".join(str(k) for k in indices)
-    return ",".join(str(k) for k in indices)
+    return ("" if all(k <= 9 for k in indices) else ",").join(map(str, indices))
 
 
 def render_config(config: FiberConfig) -> str:
@@ -158,13 +154,22 @@ _JSON_SCALARS = {
 }
 
 
+class _JSONText(str):
+    """A value's JSON text at indent 0, without the final newline, that
+    :func:`_emit_json` writes at any depth by replacing each newline with the
+    newline and indent there (a JSON string holds no raw newline)."""
+
+    __slots__ = ()
+
+
 def _canonical_json(value) -> str:
     """The package's one JSON writer: two-space indent, sorted keys, ASCII
     escapes and a final newline, byte-equal to the standard library's
     encoder called with ``indent=2, sort_keys=True``.
 
-    It takes exactly dict (str keys), list, str, int, bool and None; any
-    other value or key raises TypeError rather than diverging.  With an
+    It takes exactly dict (str keys), list, str, int, bool, None and
+    :class:`_JSONText`; any other value or key, another ``str`` subclass
+    included, raises TypeError rather than diverging.  With an
     indent the standard encoder runs in pure Python and costs nearly as much
     as the certification it serializes.
     """
@@ -216,5 +221,7 @@ def _emit_json(value, out, newline):
                 out.append(scalar(item))
             separator = "," + inner
         out.append(newline + "}")
+    elif kind is _JSONText:
+        out.append(value.replace("\n", newline))
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

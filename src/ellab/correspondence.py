@@ -28,9 +28,9 @@ from .configs import _Record, _canonical_json, descending, index_text
 from .errors import HypothesesNotMet, MalformedInput
 from .kummer import (LONE_I2_OBSTRUCTIONS, KummerReport, _node_count,
                      _report_payload, kummer_input_from_catalog, kummer_rigidity)
-from .product import (AppliedMove, ProductDiagram, _admissible_factors, _move_records,
-                      _obstructions, _pair_rows, _partner, _representatives, _rigid_partner,
-                      common_singular_count, factors_share_class, render_diagram)
+from .product import (AppliedMove, ProductDiagram, _admissible_factors, _log_specs,
+                      _move_records, _obstructions, _pair_rows, _partner, _representatives,
+                      _rigid_partner, common_singular_count, factors_share_class, render_diagram)
 
 
 class CaseKind(Enum):
@@ -139,7 +139,7 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
         reasons.append("no five-fiber factor, so the Kummer route does not apply")
         return Certificate(CertificateKind.NOT_CERTIFIED, case,
                            reasons=tuple(reasons), warnings=warnings)
-    lefts, rights = (_representatives(d, side) for side in (0, 1))
+    lefts, rights = (list(_representatives(d, side)) for side in (0, 1))
     candidates = [(l_tuple, r_tuple) for l_obstructions, l_tuple in lefts
                   for r_obstructions, r_tuple in rights
                   if (l_obstructions, r_obstructions) in LONE_I2_OBSTRUCTIONS]
@@ -199,9 +199,8 @@ def render_certificate(cert: Certificate) -> str:
     lines = [f"case: {cert.case.kind}", f"kind: {cert.kind}"]
     if cert.diagram is not None:
         lines.append(f"diagram: {render_diagram(cert.diagram)}")
-    for move in _move_records(cert._moves):
-        lines.append(f"move: {move['side']} p={move['p']} "
-                     f"{index_text(move['source'])} -> {index_text(move['target'])}")
+    for side, spec in _log_specs(cert._moves):
+        lines.append(f"move: {side} p={spec.p} {index_text(spec.source)} -> {index_text(spec.target)}")
     if cert.kummer_report is not None:
         report = cert.kummer_report
         lines.append(f"euler: {report.euler}")

@@ -233,7 +233,7 @@ def _class_of(start: tuple[int, ...]):
 class _ClosureData(NamedTuple):
     nodes: tuple[tuple[int, ...], ...]
     edges: tuple[_MoveSpec, ...]
-    paths: dict  # node tuple -> tuple of _MoveSpec from the start
+    paths: tuple  # per node, its _MoveSpec path from the start
 
 
 # keys per universe pass (closure in both modes of every composition): 2,476,
@@ -271,7 +271,7 @@ def _closure_tuples(start: tuple[int, ...], mode: GraphMode) -> _ClosureData:
                     queue.append(spec.target)
     nodes = tuple(sorted(paths))
     edge_list = tuple(sorted(edges, key=lambda s: (s.source, s.p, s.divided)))
-    return _ClosureData(nodes, edge_list, paths)
+    return _ClosureData(nodes, edge_list, tuple(map(paths.__getitem__, nodes)))
 
 
 def _closure_entry(start, mode):
@@ -375,9 +375,7 @@ def graph_to_tsv(graph: IsogenyGraph) -> str:
 
 
 def graph_to_json(graph: IsogenyGraph) -> str:
-    """Canonical JSON: nodes as index arrays, edges by node list position.
-    Both writers read index tuples and specs, so a graph from
-    :func:`closure` stays untyped."""
+    """Canonical JSON: nodes as index arrays, edges by node list position."""
     nodes, points, _ = graph._nodes
     node_index = {node: i for i, node in enumerate(nodes)}
     payload = {

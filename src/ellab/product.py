@@ -10,12 +10,12 @@ criterion is applied symmetrically in the two factors.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Literal
 
 from . import catalog
-from .configs import (FiberConfig, MIN_FIBERS, TOTAL_INDEX, _Record, _canonical_json, _parse_int,
-                      descending)
+from .configs import (FiberConfig, MIN_FIBERS, TOTAL_INDEX, _JSONText, _Record, _canonical_json,
+                      _parse_int, default_points, descending)
 from .errors import ConflictingLabels, MalformedInput, SideMismatch, TooFewFibers
 from .isogeny import GraphMode, IsogenyMove, _closure_entry, _spec_of, _typed_move
 
@@ -97,9 +97,7 @@ class ProductDiagram(_Record):
 def _project(d: ProductDiagram, side: int):
     """Points and indices of factor ``side`` (0 left, 1 right): the points
     where that factor is singular."""
-    points = [pt for pt, pair in zip(d.points, d.pairs) if pair[side]]
-    indices = [pair[side] for pair in d.pairs if pair[side]]
-    return tuple(points), tuple(indices)
+    return tuple([pt for pt, pair in zip(d.points, d.pairs) if pair[side]]), d._factors[side]
 
 
 def left_config(d: ProductDiagram) -> FiberConfig:
@@ -206,26 +204,28 @@ def _pair_rows(pairs, left_tuple, right_tuple):
 
 def _representatives(d: ProductDiagram, side: int):
     """(obstructions, node) over the gated class of factor ``side`` of ``d``
-    (0 left, 1 right) in descending order.  Isogenies keep singular fibers in
-    place, so a node's obstructions are its indices n >= 2 at the positions
-    facing a smooth fiber of the other factor, in the factor's own order."""
+    (0 left, 1 right) in descending order, lazily.  Isogenies keep singular
+    fibers in place, so a node's obstructions are its indices n >= 2 at the
+    positions facing a smooth fiber of the other factor, in the factor's own
+    order."""
     others = [pair[1 - side] for pair in d.pairs if pair[side]]
     facing = [i for i, other in enumerate(others) if not other]
-    return [([node[i] for i in facing if node[i] >= 2], node)
-            for node in reversed(_closure_entry(d._factors[side], GraphMode.CATALOG_GATED).nodes)]
+    return (([node[i] for i in facing if node[i] >= 2], node)
+            for node in reversed(_closure_entry(d._factors[side], GraphMode.CATALOG_GATED).nodes))
 
 
 def _partner(d: ProductDiagram, l_tuple, r_tuple):
-    """The diagram of one representative pair and the path reaching it from
-    ``d``, (side, _MoveSpec) pairs: the left factor's closure path, then the
-    right one's.  The diagram's log is d's with the path appended, typed
-    when it is read."""
-    paths = (_closure_entry(indices, GraphMode.CATALOG_GATED).paths[target]
-             for indices, target in zip(d._factors, (l_tuple, r_tuple)))
+    """The diagram of one representative pair, built from checked parts
+    without the constructor, and the path reaching it from ``d``, (side,
+    _MoveSpec) pairs: the left factor's closure path, then the right one's.
+    The diagram's log is d's with the path appended, typed when read."""
+    entries = (_closure_entry(indices, GraphMode.CATALOG_GATED) for indices in d._factors)
+    paths = (entry.paths[entry.nodes.index(target)] for entry, target in zip(entries, (l_tuple, r_tuple)))
     path = tuple([(side, spec) for side, specs in zip(("left", "right"), paths) for spec in specs])
-    partner = ProductDiagram(d.points, _pair_rows(d.pairs, l_tuple, r_tuple))
+    partner = ProductDiagram.__new__(ProductDiagram)
     moves, tail = d._log
-    object.__setattr__(partner, "_log", (moves, tail + path))
+    partner._set_fields(d.points, _pair_rows(d.pairs, l_tuple, r_tuple), (moves, tail + path),
+                        (l_tuple, r_tuple))
     return partner, path
 
 
@@ -271,38 +271,40 @@ def parse_diagram(text: str) -> ProductDiagram:
     if len(rows) != 2:
         raise MalformedInput(f"diagram text needs exactly two '/'-separated rows: {text!r}")
 
-    def parse_row(row):
-        values = []
-        for cell in row.split(","):
-            cell = cell.strip()
-            if cell == "_":
-                values.append(0)
-            else:
-                try:
-                    values.append(_parse_int(cell))
-                except ValueError:
-                    raise MalformedInput(f"bad diagram cell {cell!r}") from None
-        return values
+    def parse_cell(cell):
+        cell = cell.strip()
+        try:
+            return 0 if cell == "_" else _parse_int(cell)
+        except ValueError:
+            raise MalformedInput(f"bad diagram cell {cell!r}") from None
 
-    top, bottom = parse_row(rows[0]), parse_row(rows[1])
+    top, bottom = (list(map(parse_cell, row.split(","))) for row in rows)
     if len(top) != len(bottom):
         raise MalformedInput("diagram rows must have equal length")
-    points = tuple(f"P{i}" for i in range(1, len(top) + 1))
-    return ProductDiagram(points, tuple(zip(top, bottom)))
+    return ProductDiagram(default_points(len(top)), tuple(zip(top, bottom)))
 
 
 def render_diagram(d: ProductDiagram) -> str:
-    top = ",".join("_" if a == 0 else str(a) for a, _ in d.pairs)
-    bottom = ",".join("_" if b == 0 else str(b) for _, b in d.pairs)
-    return f"{top} / {bottom}"
+    return " / ".join(",".join(str(pair[side] or "_") for pair in d.pairs) for side in (0, 1))
 
 
-def _move_records(log) -> list[dict]:
-    """JSON records of a (moves, path) log; the path is read as its specs."""
+def _log_specs(log):
+    """(side, _MoveSpec) pairs of a (moves, path) log."""
     moves, path = log
-    typed = tuple((a.side, _spec_of(a.move)) for a in moves)
-    return [{"side": side, "p": spec.p, "D": list(spec.divided), "source": list(spec.source),
-             "target": list(spec.target)} for side, spec in typed + path]
+    return tuple([(a.side, _spec_of(a.move)) for a in moves]) + path
+
+
+@lru_cache(maxsize=None)  # keys: (side, spec), at most 2 x 892; 64 over Case A, 99 over Case B
+def _move_record(side, spec):
+    """The JSON record of one logged move."""
+    return _JSONText(_canonical_json({"side": side, "p": spec.p, "D": list(spec.divided),
+                                      "source": list(spec.source), "target": list(spec.target)})[:-1])
+
+
+def _move_records(log) -> list[_JSONText]:
+    """JSON records of a (moves, path) log, each rendered once by
+    :func:`_move_record`."""
+    return [_move_record(*pair) for pair in _log_specs(log)]
 
 
 def diagram_to_json(d: ProductDiagram) -> str:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellab import catalog, configs, isogeny, product
-from ellab.configs import FiberConfig, _canonical_json
+from ellab.configs import FiberConfig, _JSONText, _canonical_json
+from ellab.correspondence import certificate_to_json, certify
+from ellab.errors import HypothesesNotMet
 from ellab.isogeny import GraphMode, closure, graph_to_json
 from ellab.product import diagram_to_json, make_product
 
@@ -43,6 +45,55 @@ def test_matches_reference_on_empty_and_scalar_values(value):
 def test_rejects_values_outside_the_payload_types(value):
     with pytest.raises(TypeError):
         _canonical_json(value)
+
+
+def fragment(value):
+    return _JSONText(_canonical_json(value)[:-1])
+
+
+def _spliced(children):
+    """(written, plain) containers of (written, plain) children: a list or a
+    dict over the same members, so a fragment can sit at any depth."""
+    return (st.lists(children).map(lambda items: ([w for w, _ in items], [p for _, p in items]))
+            | st.dictionaries(texts, children).map(
+                lambda items: ({k: w for k, (w, _) in items.items()},
+                               {k: p for k, (_, p) in items.items()})))
+
+
+small_values = st.recursive(
+    scalars, lambda children: st.lists(children) | st.dictionaries(texts, children), max_leaves=8)
+spliced_values = st.recursive(
+    scalars.map(lambda value: (value, value))
+    | small_values.map(lambda value: (fragment(value), value)),
+    _spliced, max_leaves=10)
+
+
+@given(spliced_values)
+def test_a_fragment_at_any_depth_writes_its_value(pair):
+    written, plain = pair
+    assert _canonical_json(written) == reference(plain)
+
+
+def test_rejects_other_str_subclasses():
+    class Text(str):
+        pass
+
+    for value in (Text("a"), [Text("a")], {"a": Text("a")}, {Text("a"): 1}):
+        with pytest.raises(TypeError):
+            _canonical_json(value)
+
+
+@pytest.mark.parametrize("case, keys", [("a", 64), ("b", 99)])
+def test_a_sweep_writes_each_move_record_once(request, case, keys):
+    """A full sweep renders each distinct (side, spec) move record once."""
+    product._move_record.cache_clear()
+    for d in request.getfixturevalue(f"case_{case}_diagrams"):
+        try:
+            certificate_to_json(certify(d))
+        except HypothesesNotMet:
+            pass
+    info = product._move_record.cache_info()
+    assert info.misses == info.currsize == keys
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -10,7 +11,7 @@ from ellab.correspondence import (CaseKind, CertificateKind, certificate_to_json
 from ellab.errors import HypothesesNotMet, NotInCatalog
 from ellab.isogeny import GraphMode, IsogenyMove, _closure_tuples, candidate_moves
 from ellab.kummer import Rationality
-from ellab.product import (AppliedMove, ProductDiagram, apply_move, find_rigid_partner,
+from ellab.product import (AppliedMove, ProductDiagram, _partner, apply_move, find_rigid_partner,
                            is_rigid_criterion, left_config, make_product, parse_diagram,
                            right_config)
 
@@ -257,7 +258,8 @@ def _eager_moves(d, partner):
     moves = []
     for side, project in (("left", left_config), ("right", right_config)):
         config = project(d)
-        path = _closure_tuples(config.indices, GraphMode.CATALOG_GATED).paths[project(partner).indices]
+        data = _closure_tuples(config.indices, GraphMode.CATALOG_GATED)
+        path = data.paths[data.nodes.index(project(partner).indices)]
         for spec in path:
             move = IsogenyMove(spec.p, spec.divided, FiberConfig(config.points, spec.source),
                                FiberConfig(config.points, spec.target))
@@ -311,3 +313,50 @@ def test_certify_and_its_writers_build_no_typed_move(monkeypatch):
     assert not built
     assert sum('"p":' in text for text in texts) > 300  # the writers did print moves
     assert len(certify(SEEDED_CASE_A).moves) == len(built) == 2
+
+
+@pytest.fixture(scope="module")
+def ordered_certificates(case_a_diagrams, case_b_diagrams):
+    """(diagram, certificate or the HypothesesNotMet raised) for every
+    ordered Case A diagram, then every ordered Case B diagram."""
+    results = []
+    for d in case_a_diagrams + case_b_diagrams:
+        try:
+            results.append((d, certify(d)))
+        except HypothesesNotMet as exc:
+            results.append((d, exc))
+    return results
+
+
+# render_certificate over every ordered Case A and Case B diagram, a
+# NotApplicable diagram as its error line
+RENDERED_SHA256 = "ce1fa6cecb525456987f69e14ca2d46df38d5d06f31dff081ef16b7344c6f32c"
+
+
+def test_text_writer_is_pinned_on_every_ordered_diagram(ordered_certificates):
+    digest = hashlib.sha256()
+    for _, cert in ordered_certificates:
+        text = f"NotApplicable: {cert}\n" if isinstance(cert, HypothesesNotMet) else render_certificate(cert)
+        digest.update(text.encode())
+    assert digest.hexdigest() == RENDERED_SHA256
+
+
+def test_partner_equals_the_checked_construction(ordered_certificates):
+    """The search builds a partner (and a Kummer diagram) from checked parts,
+    without the constructor: the constructor accepts the same points and
+    pairs and projects the same factors, and the log is the input's plus the
+    moves built at once."""
+    partners = 0
+    for d, cert in ordered_certificates:
+        if isinstance(cert, HypothesesNotMet) or cert.diagram is None:
+            continue
+        partner = cert.diagram
+        # while the partner's own path is still untyped: a partner of it
+        # keeps that path at the head of its log
+        again, path = _partner(partner, *partner._factors)
+        assert path == () and again == partner and again._log == partner._log, d.pairs
+        checked = ProductDiagram(partner.points, partner.pairs, d.log + _eager_moves(d, partner))
+        assert partner == checked and partner._factors == checked._factors, d.pairs
+        assert partner.log == checked.log == again.log, d.pairs
+        partners += 1
+    assert partners == 6663  # 3,604 Case A and 3,059 Case B certificates with a diagram

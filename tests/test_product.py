@@ -232,7 +232,7 @@ def test_positional_test_equals_pair_rows_on_every_small_composition():
                             (_obstructions(_pair_rows(pairs, *((node, ones) if side == 0
                                                                else (ones, node))))[side], node)
                             for node in nodes]
-                        assert _representatives(d, side) == expected
+                        assert list(_representatives(d, side)) == expected
                         cases += 1
     assert cases == 2 * 9488  # 53 four-fiber compositions x 16 subsets, 270 five-fiber x 32
 
