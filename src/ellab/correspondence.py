@@ -22,15 +22,22 @@ rigidity.  Anything else is honestly NotCertified.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .catalog import catalog_lookup
-from .configs import _Record, _canonical_json, descending, index_text
-from .errors import HypothesesNotMet, MalformedInput
-from .kummer import (LONE_I2_OBSTRUCTIONS, KummerReport, _node_count,
-                     _report_payload, kummer_input_from_catalog, kummer_rigidity)
-from .product import (AppliedMove, ProductDiagram, _admissible_factors, _log_specs,
-                      _move_records, _obstructions, _pair_rows, _partner, _representatives,
-                      _rigid_partner, common_singular_count, factors_share_class, render_diagram)
+from .configs import _JSONText, _Record, _canonical_json, descending, index_text
+from .errors import HypothesesNotMet
+from .kummer import (KummerReport, _checked_node_count, _node_count, _report_payload,
+                     kummer_input_from_catalog, kummer_rigidity)
+from .product import (AppliedMove, ProductDiagram, _admissible_factors, _class_splits, _log_specs,
+                      _move_records, _obstructions, _pair_rows, _partner, _rigid_partner,
+                      common_singular_count, factors_share_class, render_diagram)
+
+
+@lru_cache(maxsize=None)  # keys: class nodes, index tuples of at most 1,981 compositions
+def _node_text(node):
+    """:func:`ellab.configs.index_text` of a class node, cached."""
+    return index_text(node)
 
 
 class CaseKind(Enum):
@@ -115,14 +122,16 @@ def classify_hypotheses(d: ProductDiagram) -> HypothesisCase:
 def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
     """Attempt both certification routes in deterministic priority order.
 
-    The rigid-partner search runs first.  The Kummer route then tries every
-    representative pair whose sole obstruction is one I_2 x I_0 fiber with
-    the five-fiber factor in scope (its catalog entry records branch component
-    degrees); without ``node_count`` the delta rule of :mod:`ellab.kummer`
-    decides, and a pair it leaves unknown is skipped with a reason.
+    Both read the factors' class splits.  The rigid-partner search runs
+    first; when it fails one side has no unobstructed node, so the Kummer
+    route tries that side's lone-I_2 nodes against the other side's
+    unobstructed ones, input pair first, with the five-fiber factor in scope
+    (its catalog entry records branch component degrees).  A given
+    ``node_count`` must be a non-negative int; without it the delta rule
+    of :mod:`ellab.kummer` decides, and a pair it leaves unknown is skipped
+    with a reason.
     """
-    if node_count is not None and node_count < 0:
-        raise MalformedInput(f"node count must be non-negative, got {node_count}")
+    _checked_node_count(node_count)
     case = classify_hypotheses(d)
     if case.kind is CaseKind.NOT_APPLICABLE:
         raise HypothesesNotMet(case.reason)
@@ -130,7 +139,8 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
     if factors_share_class(d):
         warnings = ("factors share an isogeny class; the constructions assume non-isogenous factors",)
 
-    found = _rigid_partner(d)
+    splits = _class_splits(d)
+    found = _rigid_partner(d, splits)
     if found is not None:
         return _certificate(CertificateKind.RIGID_PRODUCT_PARTNER, case, *found, warnings=warnings)
 
@@ -139,14 +149,12 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
         reasons.append("no five-fiber factor, so the Kummer route does not apply")
         return Certificate(CertificateKind.NOT_CERTIFIED, case,
                            reasons=tuple(reasons), warnings=warnings)
-    lefts, rights = (list(_representatives(d, side)) for side in (0, 1))
-    candidates = [(l_tuple, r_tuple) for l_obstructions, l_tuple in lefts
-                  for r_obstructions, r_tuple in rights
-                  if (l_obstructions, r_obstructions) in LONE_I2_OBSTRUCTIONS]
+    (l_free, l_lone), (r_free, r_lone) = splits
+    candidates = [(l, r) for l in l_free for r in r_lone] + [(l, r) for l in l_lone for r in r_free]
     candidates.sort(key=lambda pair: pair != d._factors)  # the input pair first
     for l_tuple, r_tuple in candidates:
         five_partition = descending(l_tuple if len(l_tuple) == 5 else r_tuple)
-        label = f"{index_text(l_tuple)} x {index_text(r_tuple)}"
+        label = f"{_node_text(l_tuple)} x {_node_text(r_tuple)}"
         if catalog_lookup(five_partition).branch_component_degrees is None:
             reasons.append(
                 f"kummer route {label}: five-fiber partition {five_partition} has no "
@@ -177,6 +185,13 @@ def _certificate(kind, case, diagram, path, **fields) -> Certificate:
     return cert
 
 
+@lru_cache(maxsize=None)  # keys: (a, b), at most 13 x 13
+def _pair_record(a, b):
+    """The JSON record of one diagram pair, written once per (a, b) like
+    :func:`ellab.product._move_record`."""
+    return _JSONText(_canonical_json([a, b])[:-1])
+
+
 def certificate_to_json(cert: Certificate) -> str:
     payload = {
         "schema": 1,
@@ -184,7 +199,7 @@ def certificate_to_json(cert: Certificate) -> str:
         "case": str(cert.case.kind),
         "diagram": None if cert.diagram is None else {
             "points": list(cert.diagram.points),
-            "pairs": [list(pair) for pair in cert.diagram.pairs],
+            "pairs": [_pair_record(a, b) for a, b in cert.diagram.pairs],
         },
         "moves": _move_records(cert._moves),
         "kummer": None if cert.kummer_report is None

@@ -31,25 +31,23 @@ one rule.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from math import gcd
 
 from .catalog import catalog_lookup
 from .configs import _Record, _canonical_json, descending
 from .errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
-from .product import ProductDiagram, _obstructions
+from .product import _LONE_I2, ProductDiagram, _obstructions
 
-# The per-side obstructions (product._obstructions) of a lone I_2 x I_0
-# fiber, the only obstruction the Kummer route handles.
-LONE_I2_OBSTRUCTIONS = (([2], []), ([], [2]))
+# The obstructions (product._obstructions) of a diagram whose one
+# obstruction is a lone I_2 x I_0 fiber, the only one the Kummer route
+# handles; the per-side list is the one product._class_split files a class
+# node under.
+LONE_I2_OBSTRUCTIONS = ((_LONE_I2, []), ([], _LONE_I2))
 
 # Fixed-point multisets of the two reference diagrams, in the order of the
-# module docstring.
-NODE_COUNT_PATTERNS = (
-    Counter((16, 16, 16, 9, 9)),
-    Counter((12, 12, 16, 9, 9)),
-)
+# module docstring, each as a descending tuple (configs.descending).
+NODE_COUNT_PATTERNS = ((16, 16, 16, 9, 9), (16, 12, 12, 9, 9))
 
 
 class Rationality(Enum):
@@ -73,8 +71,21 @@ def _node_count(pairs, node_count=None) -> int | None:
     a lone I_2 x I_0 obstruction and a reference fixed-point multiset, else None."""
     if node_count is not None or _obstructions(pairs) not in LONE_I2_OBSTRUCTIONS:
         return node_count
-    counts = Counter(fiber_fixed_points(a, b) for a, b in pairs)
+    counts = descending([fiber_fixed_points(a, b) for a, b in pairs])
     return 2 if counts in NODE_COUNT_PATTERNS else None
+
+
+def _checked_node_count(node_count):
+    """``node_count`` when it is None or a non-negative int, else
+    MalformedInput.  A bool, a float or another int subclass is refused:
+    the report would carry it, and the JSON writer takes exactly int."""
+    if node_count is None:
+        return None
+    if type(node_count) is not int:
+        raise MalformedInput(f"node count must be an integer, got {node_count!r}")
+    if node_count < 0:
+        raise MalformedInput(f"node count must be non-negative, got {node_count}")
+    return node_count
 
 
 def default_node_count(diagram: ProductDiagram) -> int | None:
@@ -89,9 +100,8 @@ class KummerInput(_Record):
     def __init__(self, diagram: ProductDiagram, node_count: int | None,
                  left_degrees: tuple[int, ...], right_degrees: tuple[int, ...],
                  i2_flags: tuple[tuple[str, bool], ...]):  # (point label, node_induced), sorted
-        self._set_fields(diagram, node_count, left_degrees, right_degrees, i2_flags)
-        if node_count is not None and node_count < 0:
-            raise MalformedInput(f"node count must be non-negative, got {node_count}")
+        self._set_fields(diagram, _checked_node_count(node_count), left_degrees, right_degrees,
+                         i2_flags)
         for degrees in (left_degrees, right_degrees):
             if sum(degrees) != 4:
                 raise MalformedInput(f"branch component degrees must sum to 4: {degrees}")

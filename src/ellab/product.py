@@ -28,8 +28,7 @@ class AppliedMove(_Record):
     __slots__ = ("side", "move")
 
     def __init__(self, side: Side, move: IsogenyMove):
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "move", move)
+        self._set_fields(side, move)
 
 
 class ProductDiagram(_Record):
@@ -48,9 +47,6 @@ class ProductDiagram(_Record):
         # from a list: a generator-fed tuple over-allocates, and the small
         # tuples it frees pile up on CPython's free lists during a sweep
         pairs = tuple([(a, b) for a, b in pairs])
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_log", (tuple(log), ()))
         if len(points) != len(pairs):
             raise MalformedInput("one point label per fiber pair required")
         if len(set(points)) != len(points):
@@ -61,20 +57,14 @@ class ProductDiagram(_Record):
             raise MalformedInput("fiber indices must be non-negative")
         if any(a == 0 and b == 0 for a, b in pairs):
             raise MalformedInput("a diagram point must be singular for at least one factor")
-        left, right = [], []
-        for a, b in pairs:
-            if a:
-                left.append(a)
-            if b:
-                right.append(b)
-        factors = tuple(left), tuple(right)
-        object.__setattr__(self, "_factors", factors)
+        factors = tuple([a for a, _ in pairs if a]), tuple([b for _, b in pairs if b])
         for total in map(sum, factors):
             if total != TOTAL_INDEX:
                 raise MalformedInput(f"each factor must have index sum {TOTAL_INDEX}, got {total}")
         for indices in factors:
             if len(indices) < MIN_FIBERS:
                 raise TooFewFibers(f"need at least {MIN_FIBERS} singular fibers, got {len(indices)}")
+        self._set_fields(points, pairs, (tuple(log), ()), factors)
 
     @property
     def log(self) -> tuple[AppliedMove, ...]:
@@ -150,12 +140,12 @@ def make_product(c1: FiberConfig, c2: FiberConfig, alignment=None) -> ProductDia
                 f"unaligned right point {pt!r} collides with a left point label")
         points.append(pt)
         pairs.append((0, b))
-    return ProductDiagram(tuple(points), tuple(pairs))
+    return ProductDiagram(points, pairs)
 
 
 def common_singular_count(d: ProductDiagram) -> int:
     """Number of base points where both factors are singular."""
-    return sum(1 for a, b in d.pairs if a >= 1 and b >= 1)
+    return sum(1 for a, b in d.pairs if a and b)
 
 
 def _obstructions(rows) -> tuple[list[int], list[int]]:
@@ -188,8 +178,7 @@ def apply_move(d: ProductDiagram, side: Side, move: IsogenyMove) -> ProductDiagr
             f"move starts from {move.source.indices} over {move.source.points}")
     factors = list(d._factors)
     factors[index] = move.target.indices
-    pairs = _pair_rows(d.pairs, *factors)
-    return ProductDiagram(d.points, pairs, d.log + (AppliedMove(side, move),))
+    return ProductDiagram(d.points, _pair_rows(d.pairs, *factors), d.log + (AppliedMove(side, move),))
 
 
 def _pair_rows(pairs, left_tuple, right_tuple):
@@ -197,21 +186,49 @@ def _pair_rows(pairs, left_tuple, right_tuple):
     left_slots = iter(left_tuple)
     right_slots = iter(right_tuple)
     return tuple([  # from a list, as in ProductDiagram.__init__
-        (next(left_slots) if a > 0 else 0, next(right_slots) if b > 0 else 0)
+        (next(left_slots) if a else 0, next(right_slots) if b else 0)
         for a, b in pairs
     ])
 
 
-def _representatives(d: ProductDiagram, side: int):
-    """(obstructions, node) over the gated class of factor ``side`` of ``d``
-    (0 left, 1 right) in descending order, lazily.  Isogenies keep singular
+# The per-side obstructions (:func:`_obstructions`) of a lone I_2 x I_0
+# fiber, the only obstruction the Kummer route handles.
+_LONE_I2 = [2]
+
+
+@lru_cache(maxsize=None)  # keys: (start, facing bitmask); 104 over Case A, 157 over Case B
+def _class_split(indices, facing):
+    """The gated class of ``indices`` in descending order, split into the
+    nodes with no obstruction and those with a lone I_2.  Isogenies keep
     fibers in place, so a node's obstructions are its indices n >= 2 at the
-    positions facing a smooth fiber of the other factor, in the factor's own
-    order."""
-    others = [pair[1 - side] for pair in d.pairs if pair[side]]
-    facing = [i for i, other in enumerate(others) if not other]
-    return (([node[i] for i in facing if node[i] >= 2], node)
-            for node in reversed(_closure_entry(d._factors[side], GraphMode.CATALOG_GATED).nodes))
+    positions set in ``facing``, those facing a smooth fiber."""
+    free, lone = [], []
+    for node in reversed(_closure_entry(indices, GraphMode.CATALOG_GATED).nodes):
+        obstructions = [k for i, k in enumerate(node) if facing >> i & 1 and k >= 2]
+        if not obstructions:
+            free.append(node)
+        elif obstructions == _LONE_I2:
+            lone.append(node)
+    return tuple(free), tuple(lone)
+
+
+def _class_splits(d):
+    """:func:`_class_split` of the left and of the right factor of ``d``, or
+    None when ``d`` is rigid: it is its own partner."""
+    if is_rigid_criterion(d):
+        return None
+    left = right = 0
+    l_bit = r_bit = 1
+    for a, b in d.pairs:
+        if a:
+            left |= 0 if b else l_bit
+            l_bit <<= 1
+        if b:
+            right |= 0 if a else r_bit
+            r_bit <<= 1
+    # a literal pair: tuple(map(...)) would build an over-allocated tuple and
+    # shrink it, so each call would leave one more pair on CPython's free list
+    return _class_split(d._factors[0], left), _class_split(d._factors[1], right)
 
 
 def _partner(d: ProductDiagram, l_tuple, r_tuple):
@@ -229,18 +246,16 @@ def _partner(d: ProductDiagram, l_tuple, r_tuple):
     return partner, path
 
 
-def _rigid_partner(d: ProductDiagram):
+def _rigid_partner(d, splits):
     """:func:`find_rigid_partner` with the path as (side, _MoveSpec) pairs,
-    for a diagram whose factors are checked admissible."""
-    if is_rigid_criterion(d):
+    for a diagram whose factors are checked admissible: from their
+    :func:`_class_splits`, each side's first unobstructed node."""
+    if splits is None:
         return d, ()
-    picks = []
-    for side in (0, 1):
-        node = next((node for obstructions, node in _representatives(d, side) if not obstructions), None)
-        if node is None:
-            return None
-        picks.append(node)
-    partner, path = _partner(d, *picks)
+    (l_free, _), (r_free, _) = splits
+    if not (l_free and r_free):
+        return None
+    partner, path = _partner(d, l_free[0], r_free[0])
     assert is_rigid_criterion(partner)
     return partner, path
 
@@ -255,10 +270,9 @@ def find_rigid_partner(d: ProductDiagram):
     diagram and the applied move path, or None.
     """
     _admissible_factors(d)
-    found = _rigid_partner(d)
+    found = _rigid_partner(d, _class_splits(d))
     if found is not None:
-        partner, path = found
-        found = partner, partner.log[len(partner.log) - len(path):]
+        found = found[0], found[0].log[len(d.log):]
     return found
 
 
@@ -267,7 +281,7 @@ def parse_diagram(text: str) -> ProductDiagram:
 
     Example: ``4,4,2,1,1 / 6,2,_,3,1``.
     """
-    rows = [row.strip() for row in text.split("/")]
+    rows = text.split("/")
     if len(rows) != 2:
         raise MalformedInput(f"diagram text needs exactly two '/'-separated rows: {text!r}")
 

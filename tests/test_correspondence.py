@@ -6,14 +6,14 @@ import pytest
 
 from ellab.catalog import FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES
 from ellab.configs import FiberConfig, default_points, parse_config
-from ellab.correspondence import (CaseKind, CertificateKind, certificate_to_json,
+from ellab.correspondence import (CaseKind, CertificateKind, _pair_record, certificate_to_json,
                                   certify, classify_hypotheses, render_certificate)
-from ellab.errors import HypothesesNotMet, NotInCatalog
+from ellab.errors import HypothesesNotMet, MalformedInput, NotInCatalog
 from ellab.isogeny import GraphMode, IsogenyMove, _closure_tuples, candidate_moves
 from ellab.kummer import Rationality
-from ellab.product import (AppliedMove, ProductDiagram, _partner, apply_move, find_rigid_partner,
-                           is_rigid_criterion, left_config, make_product, parse_diagram,
-                           right_config)
+from ellab.product import (AppliedMove, ProductDiagram, _class_split, _partner, apply_move,
+                           find_rigid_partner, is_rigid_criterion, left_config, make_product,
+                           parse_diagram, right_config)
 
 WORKED_A = parse_diagram("4,4,2,1,1 / 6,2,_,3,1")
 WORKED_B = parse_diagram("3,3,2,3,1 / 8,2,_,1,1")
@@ -360,3 +360,58 @@ def test_partner_equals_the_checked_construction(ordered_certificates):
         assert partner.log == checked.log == again.log, d.pairs
         partners += 1
     assert partners == 6663  # 3,604 Case A and 3,059 Case B certificates with a diagram
+
+
+# certificate_to_json of certify(d, node_count=delta) over every ordered
+# Case B diagram, a NotApplicable diagram as its error line; with the
+# RigidKummer count and the count of "not rigid" Kummer reasons
+EXPLICIT_DELTA_PINS = {
+    0: ("d4b9944a34692a2bebcf448897cc7e16e35471a486792ba7cf39a8ef3f5c9695", 228, 1980),
+    2: ("4fe972ceb4ca464741212f5ae3c8ff7f04c9996ba30549aef2ba59690415bbc9", 390, 1480),
+    8: ("7210d39683a463272da9fb1dd28f03e04f03110940334ddf221742fb5d7774d4", 56, 3332),
+}
+
+
+@pytest.mark.parametrize("delta", sorted(EXPLICIT_DELTA_PINS))
+def test_explicit_node_count_is_pinned_on_every_ordered_case_b_diagram(case_b_diagrams, delta):
+    digest = hashlib.sha256()
+    kummer = not_rigid = 0
+    for d in case_b_diagrams:
+        try:
+            cert = certify(d, node_count=delta)
+        except HypothesesNotMet as exc:
+            digest.update(f"NotApplicable: {exc}\n".encode())
+            continue
+        digest.update(certificate_to_json(cert).encode())
+        kummer += cert.kind is CertificateKind.RIGID_KUMMER
+        not_rigid += sum(": not rigid (euler " in reason for reason in cert.reasons)
+    assert (digest.hexdigest(), kummer, not_rigid) == EXPLICIT_DELTA_PINS[delta]
+
+
+@pytest.mark.parametrize("case, splits, records", [("a", 104, 51), ("b", 157, 66)])
+def test_a_sweep_splits_each_class_once_per_facing_positions(request, case, splits, records):
+    """A full sweep (the ordered diagrams hold every alignment's pairs)
+    splits each class once per (start, facing positions) of a diagram that
+    is not rigid already, and writes each diagram pair's record once."""
+    _class_split.cache_clear()
+    _pair_record.cache_clear()
+    for d in request.getfixturevalue(f"case_{case}_diagrams"):
+        try:
+            certificate_to_json(certify(d))
+        except HypothesesNotMet:
+            pass
+    info = _class_split.cache_info()
+    assert info.misses == info.currsize == splits
+    info = _pair_record.cache_info()
+    assert info.misses == info.currsize == records <= 13 * 13
+
+
+@pytest.mark.parametrize("node_count", [8.0, 8.5, True, "8"])
+def test_certify_refuses_a_node_count_that_is_not_an_int(node_count):
+    """8 certifies this diagram by the Kummer route; 8.0 once did too, and
+    its certificate JSON then raised TypeError, True counted as 1 and 8.5
+    wrote a fractional Euler number."""
+    d = parse_diagram("3,3,3,3,_ / 3,3,3,1,2")
+    assert certify(d, node_count=8).kind is CertificateKind.RIGID_KUMMER
+    with pytest.raises(MalformedInput, match="node count must be an integer"):
+        certify(d, node_count=node_count)

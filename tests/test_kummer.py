@@ -1,15 +1,18 @@
 import json
+from collections import Counter
 
 import pytest
 
 from ellab.configs import default_points
+from ellab.correspondence import CaseKind, classify_hypotheses
 from ellab.errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
-from ellab.kummer import (Rationality, branch_curve_euler, component_interval,
-                          default_node_count, equisingular_zero,
+from ellab.isogeny import GraphMode, _closure_tuples
+from ellab.kummer import (LONE_I2_OBSTRUCTIONS, Rationality, _node_count, branch_curve_euler,
+                          component_interval, default_node_count, equisingular_zero,
                           fiber_fixed_points, kummer_input_from_catalog,
                           kummer_rigidity, make_kummer_input, rationality_verdict,
                           report_to_json)
-from ellab.product import ProductDiagram, parse_diagram
+from ellab.product import ProductDiagram, _class_split, _obstructions, _pair_rows, parse_diagram
 
 DIAGRAM_A = parse_diagram("4,4,2,1,1 / 6,2,_,3,1")
 DIAGRAM_B = parse_diagram("3,3,2,3,1 / 8,2,_,1,1")
@@ -192,3 +195,58 @@ def test_report_json():
     assert payload["components"] == [6, 6]
     assert payload["rationality"] == "Forced"
     assert payload["rigid"] is True
+
+
+@pytest.mark.parametrize("node_count", [8.0, 8.5, True, False, "8", -1])
+def test_a_node_count_must_be_a_non_negative_int(node_count):
+    """A float, a bool or a string is refused, not taken as a number (the
+    report would carry it into its text and JSON), and so is a negative int."""
+    match = "non-negative" if node_count == -1 else "an integer"
+    with pytest.raises(MalformedInput, match=f"node count must be {match}"):
+        make_kummer_input(DIAGRAM_A, (2, 1, 1), (2, 1, 1), {"P3": True}, node_count=node_count)
+    with pytest.raises(MalformedInput, match=f"node count must be {match}"):
+        kummer_input_from_catalog(DIAGRAM_A, node_count=node_count)
+
+
+REFERENCE_FIXED_POINTS = [Counter(fiber_fixed_points(a, b) for a, b in d.pairs)
+                          for d in (DIAGRAM_A, DIAGRAM_B)]
+
+
+def _multiset_rule(pairs):
+    """The delta rule as the module docstring states it, on Counters: 2 when
+    the one smooth fiber paired with an I_n, n >= 2, is a single I_2 x I_0
+    fiber and the fixed-point multiset is a reference diagram's."""
+    left, right = _obstructions(pairs)
+    if sorted([left, right]) != [[], [2]]:
+        return None
+    return 2 if Counter(fiber_fixed_points(a, b) for a, b in pairs) in REFERENCE_FIXED_POINTS else None
+
+
+def test_delta_rule_equals_a_multiset_oracle_on_every_lone_i2_pair(case_b_diagrams):
+    """Over every ordered Case B diagram and every pair of class nodes: the
+    pairs whose obstructions are a lone I_2 x I_0 fiber (the one definition,
+    LONE_I2_OBSTRUCTIONS) are exactly the pairs the class splits make
+    Kummer candidates of (certify tries them when one side has no
+    unobstructed node), and on each the delta rule agrees with the
+    multiset oracle."""
+    candidates = defaults = 0
+    for d in case_b_diagrams:
+        if classify_hypotheses(d).kind is not CaseKind.CASE_B:
+            continue
+        nodes, splits = [], []
+        for side, indices in enumerate(d._factors):
+            others = [pair[1 - side] for pair in d.pairs if pair[side]]
+            facing = sum(1 << i for i, other in enumerate(others) if not other)
+            nodes.append(_closure_tuples(indices, GraphMode.CATALOG_GATED).nodes)
+            splits.append(_class_split(indices, facing))
+        (l_free, l_lone), (r_free, r_lone) = splits
+        lone = {(l, r) for l in l_free for r in r_lone} | {(l, r) for l in l_lone for r in r_free}
+        for l_tuple in nodes[0]:
+            for r_tuple in nodes[1]:
+                rows = _pair_rows(d.pairs, l_tuple, r_tuple)
+                assert ((l_tuple, r_tuple) in lone) == (_obstructions(rows) in LONE_I2_OBSTRUCTIONS)
+                if (l_tuple, r_tuple) in lone:
+                    assert _node_count(rows) == _multiset_rule(rows), rows
+                    candidates += 1
+                    defaults += _node_count(rows) == 2
+    assert (candidates, defaults) == (10206, 3577)

@@ -8,7 +8,7 @@ from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.errors import (ConflictingLabels, MalformedInput, NotInCatalog, SideMismatch,
                           TooFewFibers)
 from ellab.isogeny import GraphMode, _closure_tuples, candidate_moves, closure
-from ellab.product import (ProductDiagram, _obstructions, _pair_rows, _representatives,
+from ellab.product import (ProductDiagram, _class_splits, _obstructions, _pair_rows,
                            apply_move, common_singular_count,
                            diagram_to_json, factors_share_class,
                            find_rigid_partner, is_rigid_criterion, left_config,
@@ -205,9 +205,10 @@ def test_find_rigid_partner_matches_exhaustive_oracle(text, swap):
 
 def test_positional_test_equals_pair_rows_on_every_small_composition():
     """Each admissible composition of at most 5 fibers, as either factor,
-    against every subset of its positions facing a smooth fiber: the
-    obstructions of each class node read off the facing positions equal what
-    ``_obstructions`` finds on the rows with the node substituted."""
+    against every subset of its positions facing a smooth fiber: the class
+    split read off the facing positions holds the class nodes, in descending
+    order, that ``_obstructions`` finds unobstructed, and those it finds
+    obstructed by a lone I_2, on the rows with the node substituted."""
     cases = 0
     for n_cuts in (3, 4):
         for cuts in itertools.combinations(range(1, 12), n_cuts):
@@ -220,6 +221,7 @@ def test_positional_test_equals_pair_rows_on_every_small_composition():
                 for facing in itertools.combinations(range(n), size):
                     # the other factor: I_1 where not facing, then enough
                     # points of its own to reach 4 fibers and index sum 12
+                    # (so that it is obstructed, and the diagram not rigid)
                     other = [0 if i in facing else 1 for i in range(n)]
                     extra = max(1, 4 - (n - size))
                     own = [12 - (n - size) - (extra - 1)] + [1] * (extra - 1)
@@ -228,11 +230,12 @@ def test_positional_test_equals_pair_rows_on_every_small_composition():
                     for side in (0, 1):
                         pairs = rows if side == 0 else [(b, a) for a, b in rows]
                         d = ProductDiagram(default_points(len(pairs)), pairs)
-                        expected = [
-                            (_obstructions(_pair_rows(pairs, *((node, ones) if side == 0
-                                                               else (ones, node))))[side], node)
-                            for node in nodes]
-                        assert list(_representatives(d, side)) == expected
+                        expected = {(): [], (2,): []}
+                        for node in nodes:
+                            substituted = _pair_rows(pairs, *((node, ones) if side == 0 else (ones, node)))
+                            obstructions = tuple(_obstructions(substituted)[side])
+                            expected.get(obstructions, []).append(node)
+                        assert _class_splits(d)[side] == (tuple(expected[()]), tuple(expected[(2,)]))
                         cases += 1
     assert cases == 2 * 9488  # 53 four-fiber compositions x 16 subsets, 270 five-fiber x 32
 
