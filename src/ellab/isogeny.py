@@ -86,14 +86,10 @@ class IsogenyMove(_Record):
 
     def __init__(self, p: int, divided_positions: tuple[int, ...], source: FiberConfig,
                  target: FiberConfig):
-        divided_positions = tuple(divided_positions)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "divided_positions", divided_positions)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        self._set_fields(p, tuple(divided_positions), source, target)
         if source.points != target.points:
             raise MalformedInput("move endpoints must share base points")
-        _check_move(p, divided_positions, source.indices, target.indices)
+        _check_move(p, self.divided_positions, source.indices, target.indices)
 
 
 def _check_move(p, divided_positions, source, target):
@@ -124,14 +120,21 @@ class _MoveSpec(NamedTuple):
     target: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)  # keys: compositions of 12 (at most 1,981) x primes asked for
+def _moves(indices, p):
+    """The :func:`_move_specs` of ``indices``, or () without a cache entry
+    when its indices divisible by p sum below the halved sum."""
+    total = halved_sum(p)
+    if total is None or sum(k for k in indices if k % p == 0) < total:
+        return ()
+    return _move_specs(indices, p)
+
+
+# keys: compositions of 12 x primes that reach _moves' cache lookup or are
+# table rows (a cold universe pass stores 682 of its 5,943 questions)
+@lru_cache(maxsize=None)
 def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
     total = halved_sum(p)
-    if total is None:
-        return ()
     divisible = tuple(i for i, k in enumerate(indices) if k % p == 0)
-    if sum(indices[i] for i in divisible) < total:
-        return ()  # no subset of the divisible indices reaches the halved sum
     specs = []
     for size in range(1, len(divisible) + 1):
         for divided in combinations(divisible, size):
@@ -164,7 +167,7 @@ def candidate_moves(config: FiberConfig, p: int) -> tuple[IsogenyMove, ...]:
     """
     def node(indices):
         return config if indices == config.indices else FiberConfig(config.points, indices)
-    return tuple(_typed_move(spec, node) for spec in _move_specs(config.indices, p))
+    return tuple(_typed_move(spec, node) for spec in _moves(config.indices, p))
 
 
 def dual_move(move: IsogenyMove) -> IsogenyMove:
@@ -262,7 +265,7 @@ def _closure_tuples(start: tuple[int, ...], mode: GraphMode) -> _ClosureData:
     edges = []
     for node in queue:  # walks the nodes appended below, in order
         for p in CLOSURE_PRIMES:
-            for spec in _move_specs(node, p):
+            for spec in _moves(node, p):
                 if gate is not None and spec.target not in gate:
                     continue
                 edges.append(spec)

@@ -11,6 +11,11 @@ Three independent arguments feed the verdict:
   existence (Yes).
 
 The criteria are not jointly complete, so a genuine Unknown region remains.
+
+Every argument reads only the multiset of fiber indices: moves keep
+positions, so permuting the indices permutes the moves, and the other
+arguments count or multiply indices.  The verdict is therefore decided once
+per (partition, p) and cached; each query builds a fresh status from it.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from functools import lru_cache
 from math import prod
 
 from . import catalog
-from .configs import FiberConfig, _Record, descending, partition_of, render_config
-from .errors import NotPrime, TorsionContradiction, UnsupportedPrime
-from .isogeny import _is_prime, _move_specs
+from .configs import FiberConfig, _Record, descending, render_config
+from .errors import MalformedInput, NotPrime, TorsionContradiction, UnsupportedPrime
+from .isogeny import _is_prime, _move_specs, _moves
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -53,7 +58,7 @@ class TorsionStatus(_Record):
         object.__setattr__(self, "answer", answer)
         object.__setattr__(self, "provenances", provenances)
         if (answer is TorsionAnswer.UNKNOWN) != (not provenances):
-            raise TorsionContradiction("Yes/No must carry a provenance, Unknown none")
+            raise MalformedInput("Yes/No must carry a provenance, Unknown none")
 
     def __str__(self):
         if not self.provenances:
@@ -130,35 +135,40 @@ def _table_move_partitions() -> frozenset[tuple[tuple[int, ...], int]]:
     return frozenset(attested)
 
 
+@lru_cache(maxsize=None)  # keys: the 58 partitions of 12 into at least four parts x SUPPORTED_PRIMES
+def _verdict(partition: tuple[int, ...], p: int) -> tuple[tuple[Provenance, ...], ...]:
+    """The Yes provenances and the No provenances of ``partition`` at p.
+    Every argument reads only the multiset of indices (see the module
+    docstring), so one verdict serves every ordering of the partition."""
+    nondivisible = _nondivisible(partition, p)
+    yes = ()
+    if _sufficient(partition, p, nondivisible):
+        yes = (Provenance.SUFFICIENT_CRITERION,)
+    elif (partition, p) in _table_move_partitions():
+        yes = (Provenance.CATALOG_TABLE,)
+    no = ()
+    if p == 2 and _excludes_two_torsion(nondivisible):
+        no = (Provenance.NECESSARY_CRITERION,)
+    if not _moves(partition, p):
+        no += (Provenance.MOVE_NONEXISTENCE,)
+    return yes, no
+
+
 def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
     """Combine all arguments into Yes/No/Unknown with provenances.
 
     Yes via the sufficient criterion, or via a class table containing a
     p-move from this partition.  No via the parity bound (p=2) or because
     no candidate move exists.  Both No provenances are reported when both
-    arguments fire.  The positions whose index p does not divide are found
-    once per query; the sufficient criterion and, for p=2, the parity bound
-    read that one list (for p=2 it holds the odd indices).
+    arguments fire.  The verdict is decided once per (partition, p) and
+    cached (see :func:`_verdict`); each call builds a fresh status from it,
+    and a contradiction names the configuration as given.
     """
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedPrime(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
-    nondivisible = _nondivisible(config.indices, p)
-    yes = []
-    if _sufficient(config.indices, p, nondivisible):
-        yes.append(Provenance.SUFFICIENT_CRITERION)
-    elif (partition_of(config), p) in _table_move_partitions():
-        yes.append(Provenance.CATALOG_TABLE)
-    no = []
-    if p == 2 and _excludes_two_torsion(nondivisible):
-        no.append(Provenance.NECESSARY_CRITERION)
-    if not _move_specs(config.indices, p):
-        no.append(Provenance.MOVE_NONEXISTENCE)
+    yes, no = _verdict(descending(config.indices), p)
     if yes and no:
         raise TorsionContradiction(f"{render_config(config)} p={p}: both {yes[0]} "
                                    f"and {', '.join(map(str, no))} fired")
-    if yes:
-        return TorsionStatus(TorsionAnswer.YES, tuple(yes))
-    if no:
-        return TorsionStatus(TorsionAnswer.NO, tuple(no))
-    return TorsionStatus(TorsionAnswer.UNKNOWN)
-
+    answer = TorsionAnswer.YES if yes else TorsionAnswer.NO if no else TorsionAnswer.UNKNOWN
+    return TorsionStatus(answer, yes or no)

@@ -252,6 +252,24 @@ def test_move_specs_cache_never_evicts_within_a_universe_pass():
     assert info.misses == info.currsize
 
 
+def test_move_lists_below_the_halved_sum_are_not_stored():
+    """The closure search and candidate_moves answer () before the
+    _move_specs lookup where the divisible indices sum below the halved sum,
+    so a cold pass over every composition stores only the 627 of its 5,943
+    (composition, p) keys that reach it."""
+    for cache in (_move_specs, _closure_tuples):
+        cache.cache_clear()
+    for composition in COMPOSITIONS:
+        config = cfg(composition)
+        for mode in GraphMode:
+            closure(config, mode)
+        for p in CLOSURE_PRIMES:
+            candidate_moves(config, p)
+    reaching = sum(sum(k for k in composition if k % p == 0) >= halved_sum(p)
+                   for composition in COMPOSITIONS for p in CLOSURE_PRIMES)
+    assert _move_specs.cache_info().currsize == reaching == 627
+
+
 def test_every_move_spec_builds_a_valid_move():
     """Every spec of the universe is a move the validating constructor accepts."""
     built = 0

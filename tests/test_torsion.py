@@ -7,11 +7,11 @@ import pytest
 
 from ellab.catalog import ADMISSIBLE_PARTITIONS, ALL_CLASSES
 from ellab.configs import FiberConfig, default_points, parse_config, render_config
-from ellab.errors import NotPrime, TorsionContradiction, UnsupportedPrime
+from ellab.errors import MalformedInput, NotPrime, TorsionContradiction, UnsupportedPrime
 from ellab.isogeny import candidate_moves
-from ellab.torsion import (Provenance, TorsionAnswer, _few_nondivisible, _nondivisible,
-                           excludes_two_torsion, sufficient_torsion_criterion,
-                           torsion_status)
+from ellab.torsion import (Provenance, TorsionAnswer, TorsionStatus, _few_nondivisible,
+                           _nondivisible, _verdict, excludes_two_torsion,
+                           sufficient_torsion_criterion, torsion_status)
 
 
 def cfg(indices):
@@ -206,3 +206,72 @@ def test_status_equals_the_three_arguments_on_every_composition():
         sufficient_torsion_criterion(cfg(COMPOSITIONS[0]), 4)
     with pytest.raises(UnsupportedPrime):
         torsion_status(cfg(COMPOSITIONS[0]), 7)
+
+
+def test_every_argument_reads_only_the_multiset():
+    """The premise of deciding the verdict once per (partition, p), checked
+    with the references above rather than the program: over every
+    composition and p in {2, 3, 5}, the sufficient criterion, the parity
+    count, the move targets up to order (so move existence) and the table
+    attestation answer the same for a composition as for its descending
+    partition."""
+    rows = {}
+    for cls in ALL_CLASSES:
+        for row in cls:
+            rows.setdefault(tuple(sorted(row)), []).append((row, cls))
+
+    def attested(indices, p):
+        """A class table holds a p-move out of a row with the multiset of ``indices``."""
+        return any(target in cls for row, cls in rows.get(tuple(sorted(indices)), ())
+                   for _, target in reference_moves(row, p))
+
+    def targets(indices, p):
+        return sorted(sorted(target) for _, target in reference_moves(indices, p))
+
+    for composition in COMPOSITIONS:
+        partition = tuple(sorted(composition, reverse=True))
+        assert sum(k % 2 for k in composition) == sum(k % 2 for k in partition)
+        for p in (2, 3, 5):
+            assert reference_sufficient(composition, p) == reference_sufficient(partition, p)
+            assert targets(composition, p) == targets(partition, p), (composition, p)
+            assert attested(composition, p) == attested(partition, p), (composition, p)
+
+
+def test_cold_pass_decides_one_verdict_per_partition_and_prime():
+    """A cold pass of torsion_status over every composition and p in
+    {2, 3, 5} computes 174 verdicts: 58 partitions times three primes."""
+    _verdict.cache_clear()
+    for composition in COMPOSITIONS:
+        for p in (2, 3, 5):
+            try:
+                torsion_status(cfg(composition), p)
+            except TorsionContradiction:
+                pass
+    info = _verdict.cache_info()
+    assert info.misses == info.currsize == 174
+    assert info.hits == 3 * len(COMPOSITIONS) - 174 == 5769
+
+
+def test_orderings_of_one_partition_get_equal_distinct_statuses():
+    first, second = torsion_status(parse_config("9111"), 3), torsion_status(parse_config("1119"), 3)
+    assert first == second and first is not second
+    assert str(first) == "Yes (SufficientCriterion)"
+
+
+def test_contradiction_names_each_ordering_as_given():
+    _verdict.cache_clear()
+    for text in ("1137", "7311"):
+        with pytest.raises(TorsionContradiction) as raised:
+            torsion_status(parse_config(text), 2)
+        assert str(raised.value) == f"{text} p=2: both SufficientCriterion and MoveNonexistence fired"
+    assert _verdict.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("answer,provenances", [
+    (TorsionAnswer.YES, ()),
+    (TorsionAnswer.NO, ()),
+    (TorsionAnswer.UNKNOWN, (Provenance.SUFFICIENT_CRITERION,)),
+])
+def test_status_constructor_rejects_bad_arguments_as_input_errors(answer, provenances):
+    with pytest.raises(MalformedInput, match="Yes/No must carry a provenance, Unknown none"):
+        TorsionStatus(answer, provenances)
