@@ -78,7 +78,7 @@ class FiberConfig(_Record):
         object.__setattr__(self, "indices", indices)
         if len(points) != len(indices):
             raise MalformedInput("one point label per fiber index required")
-        if any(not isinstance(k, int) or k < 1 for k in indices):
+        if any(type(k) is not int or k < 1 for k in indices):
             raise MalformedInput(f"fiber indices must be positive integers: {indices}")
         if len(indices) < MIN_FIBERS:
             raise TooFewFibers(f"need at least {MIN_FIBERS} singular fibers, got {len(indices)}")

@@ -24,14 +24,14 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .catalog import catalog_lookup
+from .catalog import _admissible_factors, catalog_lookup
 from .configs import _JSONText, _Record, _canonical_json, descending, index_text
 from .errors import HypothesesNotMet
 from .kummer import (KummerReport, _checked_node_count, _node_count, _report_payload,
                      kummer_input_from_catalog, kummer_rigidity)
-from .product import (AppliedMove, ProductDiagram, _admissible_factors, _class_splits, _log_specs,
-                      _move_records, _obstructions, _pair_rows, _partner, _rigid_partner,
-                      common_singular_count, factors_share_class, render_diagram)
+from .product import (AppliedMove, ProductDiagram, _class_splits, _log_specs, _move_records,
+                      _obstructions, _pair_rows, _partner, _rigid_partner, common_singular_count,
+                      factors_share_class, render_diagram)
 
 
 @lru_cache(maxsize=None)  # keys: class nodes, index tuples of at most 1,981 compositions
@@ -90,7 +90,7 @@ class Certificate(_Record):
 
 def classify_hypotheses(d: ProductDiagram) -> HypothesisCase:
     """Sort a diagram into Case A, Case B, or NotApplicable with the violated clause."""
-    left, right = _admissible_factors(d)
+    left, right = _admissible_factors(d._factors)
     n_left, n_right = len(left), len(right)
     common = common_singular_count(d)
     if n_left == 4 and n_right == 4:

@@ -129,8 +129,8 @@ def _moves(indices, p):
     return _move_specs(indices, p)
 
 
-# keys: compositions of 12 x primes that reach _moves' cache lookup or are
-# table rows (a cold universe pass stores 682 of its 5,943 questions)
+# keys: compositions of 12 x primes that reach _moves' cache lookup (a cold
+# universe pass stores 627 of its 5,943 questions)
 @lru_cache(maxsize=None)
 def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
     total = halved_sum(p)

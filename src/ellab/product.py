@@ -15,7 +15,7 @@ from typing import Literal
 
 from . import catalog
 from .configs import (FiberConfig, MIN_FIBERS, TOTAL_INDEX, _JSONText, _Record, _canonical_json,
-                      _parse_int, default_points, descending)
+                      _parse_int, default_points)
 from .errors import ConflictingLabels, MalformedInput, SideMismatch, TooFewFibers
 from .isogeny import GraphMode, IsogenyMove, _closure_entry, _spec_of, _typed_move
 
@@ -51,7 +51,7 @@ class ProductDiagram(_Record):
             raise MalformedInput("one point label per fiber pair required")
         if len(set(points)) != len(points):
             raise MalformedInput(f"point labels must be pairwise distinct: {points}")
-        if not all(isinstance(k, int) for pair in pairs for k in pair):
+        if not all(type(k) is int for pair in pairs for k in pair):
             raise MalformedInput(f"fiber indices must be integers: {pairs}")
         if any(a < 0 or b < 0 for a, b in pairs):
             raise MalformedInput("fiber indices must be non-negative")
@@ -97,13 +97,6 @@ def left_config(d: ProductDiagram) -> FiberConfig:
 
 def right_config(d: ProductDiagram) -> FiberConfig:
     return FiberConfig(*_project(d, 1))
-
-
-def _admissible_factors(d: ProductDiagram):
-    """Index tuples of the left and right factor, both checked admissible."""
-    for name, indices in zip(("left factor", "right factor"), d._factors):
-        catalog._check_admissible(indices, name)
-    return d._factors
 
 
 def make_product(c1: FiberConfig, c2: FiberConfig, alignment=None) -> ProductDiagram:
@@ -162,8 +155,8 @@ def factors_share_class(d: ProductDiagram) -> bool:
     """Whether the factor partitions lie in one isogeny class (the rigidity
     constructions assume non-isogenous factors; this is a warning, not an error)."""
     left, right = d._factors
-    left_class = catalog.CLASS_INDEX.get(descending(left))
-    return left_class is not None and left_class == catalog.CLASS_INDEX.get(descending(right))
+    left_class = catalog._class_position(left)
+    return left_class is not None and left_class == catalog._class_position(right)
 
 
 def apply_move(d: ProductDiagram, side: Side, move: IsogenyMove) -> ProductDiagram:
@@ -196,12 +189,16 @@ def _pair_rows(pairs, left_tuple, right_tuple):
 _LONE_I2 = [2]
 
 
+# each distinct split once: 23 values over Case A, 95 over Case B
+_SPLITS = {}
+
+
 @lru_cache(maxsize=None)  # keys: (start, facing bitmask); 104 over Case A, 157 over Case B
 def _class_split(indices, facing):
     """The gated class of ``indices`` in descending order, split into the
-    nodes with no obstruction and those with a lone I_2.  Isogenies keep
-    fibers in place, so a node's obstructions are its indices n >= 2 at the
-    positions set in ``facing``, those facing a smooth fiber."""
+    nodes with no obstruction and those with a lone I_2, an interned value.
+    Isogenies keep fibers in place, so a node's obstructions are its indices
+    n >= 2 at the positions set in ``facing``, those facing a smooth fiber."""
     free, lone = [], []
     for node in reversed(_closure_entry(indices, GraphMode.CATALOG_GATED).nodes):
         obstructions = [k for i, k in enumerate(node) if facing >> i & 1 and k >= 2]
@@ -209,7 +206,8 @@ def _class_split(indices, facing):
             free.append(node)
         elif obstructions == _LONE_I2:
             lone.append(node)
-    return tuple(free), tuple(lone)
+    split = tuple(free), tuple(lone)
+    return _SPLITS.setdefault(split, split)
 
 
 def _class_splits(d):
@@ -231,14 +229,23 @@ def _class_splits(d):
     return _class_split(d._factors[0], left), _class_split(d._factors[1], right)
 
 
+@lru_cache(maxsize=None)  # keys: (start, node); 78 over Case A, 128 over Case B
+def _node_path(start, node):
+    """The gated closure path from ``start`` to its class node ``node``, the
+    closure cache's own tuple of _MoveSpecs."""
+    entry = _closure_entry(start, GraphMode.CATALOG_GATED)
+    return entry.paths[entry.nodes.index(node)]
+
+
 def _partner(d: ProductDiagram, l_tuple, r_tuple):
     """The diagram of one representative pair, built from checked parts
     without the constructor, and the path reaching it from ``d``, (side,
-    _MoveSpec) pairs: the left factor's closure path, then the right one's.
-    The diagram's log is d's with the path appended, typed when read."""
-    entries = (_closure_entry(indices, GraphMode.CATALOG_GATED) for indices in d._factors)
-    paths = (entry.paths[entry.nodes.index(target)] for entry, target in zip(entries, (l_tuple, r_tuple)))
-    path = tuple([(side, spec) for side, specs in zip(("left", "right"), paths) for spec in specs])
+    _MoveSpec) pairs: the left factor's :func:`_node_path`, then the right
+    one's.  The diagram's log is d's with the path appended, typed when
+    read."""
+    left, right = d._factors
+    path = tuple([("left", spec) for spec in _node_path(left, l_tuple)]
+                 + [("right", spec) for spec in _node_path(right, r_tuple)])
     partner = ProductDiagram.__new__(ProductDiagram)
     moves, tail = d._log
     partner._set_fields(d.points, _pair_rows(d.pairs, l_tuple, r_tuple), (moves, tail + path),
@@ -269,7 +276,7 @@ def find_rigid_partner(d: ProductDiagram):
     and the search fails as soon as one side has none.  Returns the partner
     diagram and the applied move path, or None.
     """
-    _admissible_factors(d)
+    catalog._admissible_factors(d._factors)
     found = _rigid_partner(d, _class_splits(d))
     if found is not None:
         found = found[0], found[0].log[len(d.log):]

@@ -27,7 +27,7 @@ from math import prod
 from . import catalog
 from .configs import FiberConfig, _Record, descending, render_config
 from .errors import MalformedInput, NotPrime, TorsionContradiction, UnsupportedPrime
-from .isogeny import _is_prime, _move_specs, _moves
+from .isogeny import _is_prime, _moves
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -129,7 +129,7 @@ def _table_move_partitions() -> frozenset[tuple[tuple[int, ...], int]]:
         rows = set(cls)
         for row in cls:
             for p in SUPPORTED_PRIMES:
-                for spec in _move_specs(row, p):
+                for spec in _moves(row, p):
                     if spec.target in rows:
                         attested.add((descending(row), p))
     return frozenset(attested)

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from ellab import catalog
 from ellab.catalog import Admissibility, admissible, catalog_lookup
+from ellab.configs import descending
 from ellab.errors import SumNot12, TooFewFibers
 
 
@@ -124,3 +127,17 @@ def test_class_index_maps_every_row_to_its_class():
     for i, cls in enumerate(catalog.ALL_CLASSES):
         for row in cls:
             assert catalog.CLASS_INDEX[tuple(sorted(row, reverse=True))] == i
+
+
+def test_class_position_is_the_class_index_of_every_composition():
+    """The cached class position equals CLASS_INDEX at the descending
+    partition on all 1,981 compositions, and is None exactly for the
+    inadmissible ones."""
+    compositions = [tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
+                    for n_cuts in range(3, 12) for cuts in itertools.combinations(range(1, 12), n_cuts)]
+    assert len(compositions) == 1981
+    for composition in compositions:
+        partition = descending(composition)
+        position = catalog._class_position(composition)
+        assert position == catalog.CLASS_INDEX.get(partition), composition
+        assert (position is None) == (partition not in catalog.ADMISSIBLE_PARTITIONS), composition

@@ -58,6 +58,14 @@ def test_constructor_rejects_bad_sum():
         FiberConfig(default_points(4), (3, 3, 3, 2))
 
 
+@pytest.mark.parametrize("indices", [(9, True, 1, 1), (True, True, 9, 1), (10, 1, 1, False)])
+def test_constructor_rejects_bool_indices(indices):
+    """A bool is an int subclass, equal to 1 or 0: taken as an index it would
+    be rendered as True and written to JSON as true."""
+    with pytest.raises(MalformedInput, match="fiber indices must be positive integers"):
+        FiberConfig(default_points(4), indices)
+
+
 @pytest.mark.parametrize("indices,expected", [
     ((2, 6, 1, 3), (6, 3, 2, 1)),
     ((1, 1, 8, 1, 1), (8, 1, 1, 1, 1)),

@@ -4,16 +4,16 @@ import json
 
 import pytest
 
-from ellab.catalog import FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES
+from ellab.catalog import FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES, _class_position
 from ellab.configs import FiberConfig, default_points, parse_config
 from ellab.correspondence import (CaseKind, CertificateKind, _pair_record, certificate_to_json,
                                   certify, classify_hypotheses, render_certificate)
 from ellab.errors import HypothesesNotMet, MalformedInput, NotInCatalog
 from ellab.isogeny import GraphMode, IsogenyMove, _closure_tuples, candidate_moves
 from ellab.kummer import Rationality
-from ellab.product import (AppliedMove, ProductDiagram, _class_split, _partner, apply_move,
-                           find_rigid_partner, is_rigid_criterion, left_config, make_product,
-                           parse_diagram, right_config)
+from ellab.product import (AppliedMove, ProductDiagram, _class_split, _class_splits, _node_path,
+                           _partner, apply_move, find_rigid_partner, is_rigid_criterion,
+                           left_config, make_product, parse_diagram, right_config)
 
 WORKED_A = parse_diagram("4,4,2,1,1 / 6,2,_,3,1")
 WORKED_B = parse_diagram("3,3,2,3,1 / 8,2,_,1,1")
@@ -404,6 +404,42 @@ def test_a_sweep_splits_each_class_once_per_facing_positions(request, case, spli
     assert info.misses == info.currsize == splits
     info = _pair_record.cache_info()
     assert info.misses == info.currsize == records <= 13 * 13
+
+
+@pytest.mark.parametrize("case, paths, sorts, reads", [("a", 78, 2715, 14416),
+                                                       ("b", 128, 4607, 17476)])
+def test_a_sweep_finds_each_path_once_and_sorts_each_factor_once(request, case, paths, sorts,
+                                                                 reads):
+    """A full sweep looks up each factor's closure path once per (start,
+    node), however many diagrams share it (the 3,604 ordered Case A
+    diagrams ask for 6,200 paths), and reads each factor's class position
+    twice per diagram but sorts it at most once."""
+    diagrams = request.getfixturevalue(f"case_{case}_diagrams")
+    _node_path.cache_clear()
+    _class_position.cache_clear()
+    for d in diagrams:
+        try:
+            certificate_to_json(certify(d))
+        except HypothesesNotMet:
+            pass
+    info = _node_path.cache_info()
+    assert info.misses == info.currsize == paths
+    info = _class_position.cache_info()
+    assert (info.misses, info.hits + info.misses) == (sorts, reads)
+    assert info.currsize == 4 and sorts <= 2 * len(diagrams) < reads
+
+
+@pytest.mark.parametrize("case, distinct", [("a", 23), ("b", 95)])
+def test_equal_class_splits_are_one_object(request, case, distinct):
+    """A sweep's class splits are interned: Case A's 104 (start, facing)
+    keys hold 23 distinct splits, each one object."""
+    _class_split.cache_clear()
+    ids = {}
+    for d in request.getfixturevalue(f"case_{case}_diagrams"):
+        for split in _class_splits(d) or ():
+            ids.setdefault(split, set()).add(id(split))
+    assert len(ids) == distinct
+    assert all(len(same) == 1 for same in ids.values())
 
 
 @pytest.mark.parametrize("node_count", [8.0, 8.5, True, "8"])

@@ -17,7 +17,7 @@ from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
                            _is_prime, _move_specs,
                            candidate_moves, catalog_class, closure, dual_move, graph_to_json,
                            graph_to_tsv, halved_sum)
-from ellab.torsion import _table_move_partitions, excludes_two_torsion, torsion_status
+from ellab.torsion import _table_move_partitions, _verdict, excludes_two_torsion, torsion_status
 
 
 def cfg(indices, labels=None):
@@ -268,6 +268,39 @@ def test_move_lists_below_the_halved_sum_are_not_stored():
     reaching = sum(sum(k for k in composition if k % p == 0) >= halved_sum(p)
                    for composition in COMPOSITIONS for p in CLOSURE_PRIMES)
     assert _move_specs.cache_info().currsize == reaching == 627
+
+
+def test_torsion_tables_store_no_move_list_below_the_halved_sum():
+    """The class-table scan behind the torsion oracle reads moves through
+    _moves as well, so closure in both modes plus torsion for p = 2, 3, 5
+    over every composition stores the same 627 keys as closure alone."""
+    for cache in (_move_specs, _closure_tuples, _table_move_partitions, _verdict):
+        cache.cache_clear()
+    for composition in COMPOSITIONS:
+        config = cfg(composition)
+        for mode in GraphMode:
+            closure(config, mode)
+        for p in CLOSURE_PRIMES:
+            try:
+                torsion_status(config, p)
+            except TorsionContradiction:
+                pass
+    assert _move_specs.cache_info().currsize == 627
+
+
+def test_a_bool_index_cannot_poison_the_closure_cache():
+    """(9, True, 1, 1) equals (9, 1, 1, 1) and hashes alike: had the
+    constructor taken it, its closure would have been cached, and closure
+    of 9111 would have answered with the node (9, True, 1, 1), written to
+    JSON as [9, true, 1, 1]."""
+    for cache in (_move_specs, _closure_tuples):
+        cache.cache_clear()
+    with pytest.raises(MalformedInput, match="fiber indices must be positive integers"):
+        closure(FiberConfig(default_points(4), (9, True, 1, 1)))
+    graph = closure(parse_config("9111"))
+    assert all(type(k) is int for node in graph._nodes[0] for k in node)
+    assert json.loads(graph_to_json(graph))["nodes"][-1] == [9, 1, 1, 1]
+    assert "true" not in graph_to_json(graph)
 
 
 def test_every_move_spec_builds_a_valid_move():

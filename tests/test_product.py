@@ -8,7 +8,7 @@ from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.errors import (ConflictingLabels, MalformedInput, NotInCatalog, SideMismatch,
                           TooFewFibers)
 from ellab.isogeny import GraphMode, _closure_tuples, candidate_moves, closure
-from ellab.product import (ProductDiagram, _class_splits, _obstructions, _pair_rows,
+from ellab.product import (ProductDiagram, _class_splits, _node_path, _obstructions, _pair_rows,
                            apply_move, common_singular_count,
                            diagram_to_json, factors_share_class,
                            find_rigid_partner, is_rigid_criterion, left_config,
@@ -85,6 +85,16 @@ def test_diagram_invariants():
     with pytest.raises(MalformedInput) as excinfo:
         ProductDiagram(("P1", "P2", "P3", "P4"), ((6, 3), (6, 3), (0, 3), (0, 4)))
     assert str(excinfo.value) == "each factor must have index sum 12, got 13"
+
+
+@pytest.mark.parametrize("pairs", [((9, 3), (True, 3), (1, 3), (1, 3)),
+                                   ((9, 3), (1, 3), (1, 3), (1, 2), (False, True))])
+def test_diagram_rejects_bool_indices(pairs):
+    """True equals 1 and False equals 0, so without this check the first
+    pairs would project the left factor (9, True, 1, 1), and the second
+    would hold a smooth False point."""
+    with pytest.raises(MalformedInput, match="fiber indices must be integers"):
+        ProductDiagram(default_points(len(pairs)), pairs)
 
 
 @pytest.mark.parametrize("pairs,expected", [
@@ -238,6 +248,26 @@ def test_positional_test_equals_pair_rows_on_every_small_composition():
                         assert _class_splits(d)[side] == (tuple(expected[()]), tuple(expected[(2,)]))
                         cases += 1
     assert cases == 2 * 9488  # 53 four-fiber compositions x 16 subsets, 270 five-fiber x 32
+
+
+def test_node_path_is_the_closure_path_on_every_admissible_start():
+    """For each of the 323 admissible compositions of at most 5 fibers and
+    each node of its gated closure, the cached path is the closure's own
+    path to that node, the same object while the closure stays cached."""
+    _node_path.cache_clear()
+    _closure_tuples.cache_clear()
+    starts = nodes = 0
+    for n_cuts in (3, 4):
+        for cuts in itertools.combinations(range(1, 12), n_cuts):
+            composition = tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
+            if descending(composition) not in ADMISSIBLE_PARTITIONS:
+                continue
+            data = _closure_tuples(composition, GraphMode.CATALOG_GATED)
+            for node, specs in zip(data.nodes, data.paths):
+                assert _node_path(composition, node) is specs
+                nodes += 1
+            starts += 1
+    assert (starts, nodes) == (323, 708)
 
 
 def test_find_rigid_partner_already_rigid():
