@@ -23,7 +23,6 @@ rather than guessing; the tables cover 4 and 5 fibers only.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 from .configs import MIN_FIBERS, TOTAL_INDEX, _Record, _canonical_json, descending, index_text
 from .errors import MalformedInput, NotInCatalog, SumNot12, TooFewFibers
@@ -151,32 +150,16 @@ def admissible(partition) -> Admissibility:
     return Admissibility.NOT_ADMISSIBLE
 
 
-@lru_cache(maxsize=4)
-def _class_position(indices):
-    """The :data:`CLASS_INDEX` position of the partition of ``indices``, a
-    small int, or None when it is not admissible: the class tables hold
-    exactly the admissible partitions.  ``certify`` reads both factors twice,
-    through :func:`_admissible_factors` and then ``factors_share_class``, so
-    the last four factors are kept and each is sorted once per diagram.  An
-    unbounded cache would also spare the first sort, but would keep every
-    factor of a sweep: 287 index tuples over Case B."""
-    return CLASS_INDEX.get(descending(indices))
-
-
-def _check_admissible(indices, name: str):
-    """Reject the indices of a valid configuration unless its partition is
-    admissible (read through :func:`_class_position`); ``name`` says which
-    configuration in the message."""
-    if _class_position(indices) is None:
-        raise NotInCatalog(f"{name}: partition {index_text(descending(indices))} is not admissible")
-
-
-def _admissible_factors(factors):
-    """The index tuples of a product's left and right factor, both checked
-    admissible."""
-    for name, indices in zip(("left factor", "right factor"), factors):
-        _check_admissible(indices, name)
-    return factors
+def _check_admissible(indices, name: str) -> int:
+    """The :data:`CLASS_INDEX` position of the partition of ``indices``, the
+    indices of a valid configuration, or NotInCatalog when it is not
+    admissible: the class tables hold exactly the admissible partitions.
+    ``name`` says which configuration in the message."""
+    partition = descending(indices)
+    position = CLASS_INDEX.get(partition)
+    if position is None:
+        raise NotInCatalog(f"{name}: partition {index_text(partition)} is not admissible")
+    return position
 
 
 def catalog_lookup(partition) -> CatalogEntry | None:

@@ -39,7 +39,7 @@ def _entry_line(entry):
 def _cmd_catalog(args) -> int:
     from . import catalog
     entries = catalog.canonical_order(catalog.EMBEDDED_ENTRIES)
-    if args.partition:
+    if args.partition is not None:
         partition = partition_of(parse_config(args.partition))
         entries = tuple(e for e in entries if e.partition == partition)
         if not entries:

@@ -78,6 +78,8 @@ class FiberConfig(_Record):
         object.__setattr__(self, "indices", indices)
         if len(points) != len(indices):
             raise MalformedInput("one point label per fiber index required")
+        if not all(type(pt) is str for pt in points):  # the writers take exactly str
+            raise MalformedInput(f"point labels must be strings: {points}")
         if any(type(k) is not int or k < 1 for k in indices):
             raise MalformedInput(f"fiber indices must be positive integers: {indices}")
         if len(indices) < MIN_FIBERS:

@@ -24,14 +24,14 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 
-from .catalog import _admissible_factors, catalog_lookup
+from .catalog import _ENTRY_BY_PARTITION
 from .configs import _JSONText, _Record, _canonical_json, descending, index_text
 from .errors import HypothesesNotMet
 from .kummer import (KummerReport, _checked_node_count, _node_count, _report_payload,
                      kummer_input_from_catalog, kummer_rigidity)
-from .product import (AppliedMove, ProductDiagram, _class_splits, _log_specs, _move_records,
-                      _obstructions, _pair_rows, _partner, _rigid_partner, common_singular_count,
-                      factors_share_class, render_diagram)
+from .product import (AppliedMove, ProductDiagram, _class_positions, _class_splits, _log_specs,
+                      _move_records, _obstructions, _pair_rows, _partner, _rigid_partner,
+                      common_singular_count, render_diagram)
 
 
 @lru_cache(maxsize=None)  # keys: class nodes, index tuples of at most 1,981 compositions
@@ -90,7 +90,14 @@ class Certificate(_Record):
 
 def classify_hypotheses(d: ProductDiagram) -> HypothesisCase:
     """Sort a diagram into Case A, Case B, or NotApplicable with the violated clause."""
-    left, right = _admissible_factors(d._factors)
+    _class_positions(d)
+    return _hypothesis_case(d)
+
+
+def _hypothesis_case(d: ProductDiagram) -> HypothesisCase:
+    """:func:`classify_hypotheses` of a diagram whose factors are checked
+    admissible."""
+    left, right = d._factors
     n_left, n_right = len(left), len(right)
     common = common_singular_count(d)
     if n_left == 4 and n_right == 4:
@@ -132,11 +139,12 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
     with a reason.
     """
     _checked_node_count(node_count)
-    case = classify_hypotheses(d)
+    left_class, right_class = _class_positions(d)
+    case = _hypothesis_case(d)
     if case.kind is CaseKind.NOT_APPLICABLE:
         raise HypothesesNotMet(case.reason)
     warnings = ()
-    if factors_share_class(d):
+    if left_class == right_class:
         warnings = ("factors share an isogeny class; the constructions assume non-isogenous factors",)
 
     splits = _class_splits(d)
@@ -149,13 +157,13 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
         reasons.append("no five-fiber factor, so the Kummer route does not apply")
         return Certificate(CertificateKind.NOT_CERTIFIED, case,
                            reasons=tuple(reasons), warnings=warnings)
-    (l_free, l_lone), (r_free, r_lone) = splits
+    (l_free, l_lone, _), (r_free, r_lone, _) = splits
     candidates = [(l, r) for l in l_free for r in r_lone] + [(l, r) for l in l_lone for r in r_free]
     candidates.sort(key=lambda pair: pair != d._factors)  # the input pair first
     for l_tuple, r_tuple in candidates:
         five_partition = descending(l_tuple if len(l_tuple) == 5 else r_tuple)
         label = f"{_node_text(l_tuple)} x {_node_text(r_tuple)}"
-        if catalog_lookup(five_partition).branch_component_degrees is None:
+        if _ENTRY_BY_PARTITION[five_partition].branch_component_degrees is None:
             reasons.append(
                 f"kummer route {label}: five-fiber partition {five_partition} has no "
                 "quartic model with node-induced I_2 fibers")
@@ -164,7 +172,7 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
         if delta is None:
             reasons.append(f"kummer route {label}: node count of the fixed curve unknown")
             continue
-        candidate, path = _partner(d, l_tuple, r_tuple)
+        candidate, path = _partner(d, splits, l_tuple, r_tuple)
         report = kummer_rigidity(kummer_input_from_catalog(candidate, delta))
         if report.rigid:
             return _certificate(CertificateKind.RIGID_KUMMER, case, candidate, path,

@@ -124,11 +124,10 @@ def kummer_input_from_catalog(diagram: ProductDiagram, node_count=None) -> Kumme
     """Fill degrees and node flags from the catalog entries of the factors."""
     entries = []
     for side, indices in zip(("left", "right"), diagram._factors):
-        partition = descending(indices)
-        entry = catalog_lookup(partition)
+        entry = catalog_lookup(indices)
         if entry is None or entry.branch_component_degrees is None:
             raise NotInCatalog(
-                f"no branch component degrees recorded for the {side} factor {partition}")
+                f"no branch component degrees recorded for the {side} factor {descending(indices)}")
         entries.append(entry)
     left, right = entries
     flags = {}

@@ -15,7 +15,7 @@ from typing import Literal
 
 from . import catalog
 from .configs import (FiberConfig, MIN_FIBERS, TOTAL_INDEX, _JSONText, _Record, _canonical_json,
-                      _parse_int, default_points)
+                      _parse_int, default_points, descending)
 from .errors import ConflictingLabels, MalformedInput, SideMismatch, TooFewFibers
 from .isogeny import GraphMode, IsogenyMove, _closure_entry, _spec_of, _typed_move
 
@@ -49,6 +49,8 @@ class ProductDiagram(_Record):
         pairs = tuple([(a, b) for a, b in pairs])
         if len(points) != len(pairs):
             raise MalformedInput("one point label per fiber pair required")
+        if not all(type(pt) is str for pt in points):  # as in FiberConfig
+            raise MalformedInput(f"point labels must be strings: {points}")
         if len(set(points)) != len(points):
             raise MalformedInput(f"point labels must be pairwise distinct: {points}")
         if not all(type(k) is int for pair in pairs for k in pair):
@@ -154,9 +156,15 @@ def is_rigid_criterion(d: ProductDiagram) -> bool:
 def factors_share_class(d: ProductDiagram) -> bool:
     """Whether the factor partitions lie in one isogeny class (the rigidity
     constructions assume non-isogenous factors; this is a warning, not an error)."""
-    left, right = d._factors
-    left_class = catalog._class_position(left)
-    return left_class is not None and left_class == catalog._class_position(right)
+    left, right = (catalog.CLASS_INDEX.get(descending(indices)) for indices in d._factors)
+    return left is not None and left == right
+
+
+def _class_positions(d: ProductDiagram) -> list[int]:
+    """The class positions of the left and the right factor of ``d``, each
+    checked admissible by :func:`ellab.catalog._check_admissible`."""
+    return [catalog._check_admissible(indices, name)
+            for name, indices in zip(("left factor", "right factor"), d._factors)]
 
 
 def apply_move(d: ProductDiagram, side: Side, move: IsogenyMove) -> ProductDiagram:
@@ -189,25 +197,22 @@ def _pair_rows(pairs, left_tuple, right_tuple):
 _LONE_I2 = [2]
 
 
-# each distinct split once: 23 values over Case A, 95 over Case B
-_SPLITS = {}
-
-
 @lru_cache(maxsize=None)  # keys: (start, facing bitmask); 104 over Case A, 157 over Case B
 def _class_split(indices, facing):
-    """The gated class of ``indices`` in descending order, split into the
-    nodes with no obstruction and those with a lone I_2, an interned value.
+    """(free, lone, entry): the gated class of ``indices`` in descending
+    order, split into the nodes with no obstruction and those with a lone
+    I_2, and the gated closure entry itself, which holds each node's path.
     Isogenies keep fibers in place, so a node's obstructions are its indices
     n >= 2 at the positions set in ``facing``, those facing a smooth fiber."""
+    entry = _closure_entry(indices, GraphMode.CATALOG_GATED)
     free, lone = [], []
-    for node in reversed(_closure_entry(indices, GraphMode.CATALOG_GATED).nodes):
+    for node in reversed(entry.nodes):
         obstructions = [k for i, k in enumerate(node) if facing >> i & 1 and k >= 2]
         if not obstructions:
             free.append(node)
         elif obstructions == _LONE_I2:
             lone.append(node)
-    split = tuple(free), tuple(lone)
-    return _SPLITS.setdefault(split, split)
+    return tuple(free), tuple(lone), entry
 
 
 def _class_splits(d):
@@ -229,23 +234,16 @@ def _class_splits(d):
     return _class_split(d._factors[0], left), _class_split(d._factors[1], right)
 
 
-@lru_cache(maxsize=None)  # keys: (start, node); 78 over Case A, 128 over Case B
-def _node_path(start, node):
-    """The gated closure path from ``start`` to its class node ``node``, the
-    closure cache's own tuple of _MoveSpecs."""
-    entry = _closure_entry(start, GraphMode.CATALOG_GATED)
-    return entry.paths[entry.nodes.index(node)]
-
-
-def _partner(d: ProductDiagram, l_tuple, r_tuple):
+def _partner(d: ProductDiagram, splits, l_tuple, r_tuple):
     """The diagram of one representative pair, built from checked parts
     without the constructor, and the path reaching it from ``d``, (side,
-    _MoveSpec) pairs: the left factor's :func:`_node_path`, then the right
-    one's.  The diagram's log is d's with the path appended, typed when
-    read."""
-    left, right = d._factors
-    path = tuple([("left", spec) for spec in _node_path(left, l_tuple)]
-                 + [("right", spec) for spec in _node_path(right, r_tuple)])
+    _MoveSpec) pairs: the left factor's closure path to ``l_tuple``, then
+    the right one's to ``r_tuple``, each read from the closure entry of that
+    side's :func:`_class_split` in ``splits``.  The diagram's log is d's
+    with the path appended, typed when read."""
+    (_, _, l_entry), (_, _, r_entry) = splits
+    path = tuple([("left", spec) for spec in l_entry.paths[l_entry.nodes.index(l_tuple)]]
+                 + [("right", spec) for spec in r_entry.paths[r_entry.nodes.index(r_tuple)]])
     partner = ProductDiagram.__new__(ProductDiagram)
     moves, tail = d._log
     partner._set_fields(d.points, _pair_rows(d.pairs, l_tuple, r_tuple), (moves, tail + path),
@@ -259,10 +257,10 @@ def _rigid_partner(d, splits):
     :func:`_class_splits`, each side's first unobstructed node."""
     if splits is None:
         return d, ()
-    (l_free, _), (r_free, _) = splits
+    (l_free, _, _), (r_free, _, _) = splits
     if not (l_free and r_free):
         return None
-    partner, path = _partner(d, l_free[0], r_free[0])
+    partner, path = _partner(d, splits, l_free[0], r_free[0])
     assert is_rigid_criterion(partner)
     return partner, path
 
@@ -276,7 +274,7 @@ def find_rigid_partner(d: ProductDiagram):
     and the search fails as soon as one side has none.  Returns the partner
     diagram and the applied move path, or None.
     """
-    catalog._admissible_factors(d._factors)
+    _class_positions(d)
     found = _rigid_partner(d, _class_splits(d))
     if found is not None:
         found = found[0], found[0].log[len(d.log):]

@@ -1,11 +1,12 @@
 import itertools
+import re
 
 import pytest
 
 from ellab import catalog
 from ellab.catalog import Admissibility, admissible, catalog_lookup
-from ellab.configs import descending
-from ellab.errors import SumNot12, TooFewFibers
+from ellab.configs import descending, index_text
+from ellab.errors import NotInCatalog, SumNot12, TooFewFibers
 
 
 def descending_partitions(total, parts, largest=None):
@@ -129,15 +130,21 @@ def test_class_index_maps_every_row_to_its_class():
             assert catalog.CLASS_INDEX[tuple(sorted(row, reverse=True))] == i
 
 
-def test_class_position_is_the_class_index_of_every_composition():
-    """The cached class position equals CLASS_INDEX at the descending
-    partition on all 1,981 compositions, and is None exactly for the
-    inadmissible ones."""
+def test_check_admissible_returns_the_class_index_of_every_composition():
+    """On all 1,981 compositions, the admissibility check returns CLASS_INDEX
+    at the descending partition, and raises NotInCatalog, naming the
+    configuration and its partition, exactly for the inadmissible ones."""
     compositions = [tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
                     for n_cuts in range(3, 12) for cuts in itertools.combinations(range(1, 12), n_cuts)]
     assert len(compositions) == 1981
+    admissible_count = 0
     for composition in compositions:
         partition = descending(composition)
-        position = catalog._class_position(composition)
-        assert position == catalog.CLASS_INDEX.get(partition), composition
-        assert (position is None) == (partition not in catalog.ADMISSIBLE_PARTITIONS), composition
+        if partition in catalog.ADMISSIBLE_PARTITIONS:
+            assert catalog._check_admissible(composition, "start") == catalog.CLASS_INDEX[partition]
+            admissible_count += 1
+        else:
+            message = f"start: partition {index_text(partition)} is not admissible"
+            with pytest.raises(NotInCatalog, match=f"^{re.escape(message)}$"):
+                catalog._check_admissible(composition, "start")
+    assert admissible_count == 323

@@ -92,6 +92,14 @@ def test_catalog_miss_exit_1(capsys):
     assert "no catalog entry" in err
 
 
+@pytest.mark.parametrize("argv", [("catalog", ""), ("catalog", " "), ("catalog", "", "--json")])
+def test_catalog_empty_partition_exit_2(capsys, argv):
+    """An empty partition is malformed input, not a request for the whole
+    catalog."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: empty configuration text\n")
+
+
 def test_catalog_json_matches_export(capsys):
     code, out, _ = run(capsys, "catalog", "--json")
     assert out == catalog.export_catalog()

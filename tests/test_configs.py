@@ -66,6 +66,20 @@ def test_constructor_rejects_bool_indices(indices):
         FiberConfig(default_points(4), indices)
 
 
+class Label(str):
+    pass
+
+
+@pytest.mark.parametrize("points", [(1, 2, 3, 4), (1.5, "P2", "P3", "P4"), (None, "P2", "P3", "P4"),
+                                    (b"P1", "P2", "P3", "P4"), (Label("P1"), "P2", "P3", "P4"),
+                                    (["P1"], "P2", "P3", "P4")])
+def test_constructor_rejects_labels_that_are_not_str(points):
+    """The writers take labels as text: an int label once made the Kummer
+    report's text writer raise TypeError, and a float one the JSON writer."""
+    with pytest.raises(MalformedInput, match="point labels must be strings"):
+        FiberConfig(points, (3, 3, 3, 3))
+
+
 @pytest.mark.parametrize("indices,expected", [
     ((2, 6, 1, 3), (6, 3, 2, 1)),
     ((1, 1, 8, 1, 1), (8, 1, 1, 1, 1)),

@@ -1,18 +1,20 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
-from ellab.catalog import FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES, _class_position
-from ellab.configs import FiberConfig, default_points, parse_config
+from ellab import catalog, correspondence, kummer, product
+from ellab.catalog import FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES
+from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.correspondence import (CaseKind, CertificateKind, _pair_record, certificate_to_json,
                                   certify, classify_hypotheses, render_certificate)
 from ellab.errors import HypothesesNotMet, MalformedInput, NotInCatalog
 from ellab.isogeny import GraphMode, IsogenyMove, _closure_tuples, candidate_moves
-from ellab.kummer import Rationality
-from ellab.product import (AppliedMove, ProductDiagram, _class_split, _class_splits, _node_path,
-                           _partner, apply_move, find_rigid_partner, is_rigid_criterion,
+from ellab.kummer import Rationality, kummer_input_from_catalog, kummer_rigidity
+from ellab.product import (AppliedMove, ProductDiagram, _class_split, _partner,
+                           apply_move, find_rigid_partner, is_rigid_criterion,
                            left_config, make_product, parse_diagram, right_config)
 
 WORKED_A = parse_diagram("4,4,2,1,1 / 6,2,_,3,1")
@@ -353,7 +355,8 @@ def test_partner_equals_the_checked_construction(ordered_certificates):
         partner = cert.diagram
         # while the partner's own path is still untyped: a partner of it
         # keeps that path at the head of its log
-        again, path = _partner(partner, *partner._factors)
+        splits = [_class_split(indices, 0) for indices in partner._factors]
+        again, path = _partner(partner, splits, *partner._factors)
         assert path == () and again == partner and again._log == partner._log, d.pairs
         checked = ProductDiagram(partner.points, partner.pairs, d.log + _eager_moves(d, partner))
         assert partner == checked and partner._factors == checked._factors, d.pairs
@@ -364,7 +367,8 @@ def test_partner_equals_the_checked_construction(ordered_certificates):
 
 # certificate_to_json of certify(d, node_count=delta) over every ordered
 # Case B diagram, a NotApplicable diagram as its error line; with the
-# RigidKummer count and the count of "not rigid" Kummer reasons
+# RigidKummer count and the count of "not rigid" Kummer reasons.  The kummer
+# layer re-derives each RigidKummer report from the catalog at that delta.
 EXPLICIT_DELTA_PINS = {
     0: ("d4b9944a34692a2bebcf448897cc7e16e35471a486792ba7cf39a8ef3f5c9695", 228, 1980),
     2: ("4fe972ceb4ca464741212f5ae3c8ff7f04c9996ba30549aef2ba59690415bbc9", 390, 1480),
@@ -375,7 +379,7 @@ EXPLICIT_DELTA_PINS = {
 @pytest.mark.parametrize("delta", sorted(EXPLICIT_DELTA_PINS))
 def test_explicit_node_count_is_pinned_on_every_ordered_case_b_diagram(case_b_diagrams, delta):
     digest = hashlib.sha256()
-    kummer = not_rigid = 0
+    rigid_kummer = not_rigid = 0
     for d in case_b_diagrams:
         try:
             cert = certify(d, node_count=delta)
@@ -383,9 +387,12 @@ def test_explicit_node_count_is_pinned_on_every_ordered_case_b_diagram(case_b_di
             digest.update(f"NotApplicable: {exc}\n".encode())
             continue
         digest.update(certificate_to_json(cert).encode())
-        kummer += cert.kind is CertificateKind.RIGID_KUMMER
+        if cert.kind is CertificateKind.RIGID_KUMMER:
+            report = kummer_rigidity(kummer_input_from_catalog(cert.diagram, delta))
+            assert report == cert.kummer_report, d.pairs
+            rigid_kummer += 1
         not_rigid += sum(": not rigid (euler " in reason for reason in cert.reasons)
-    assert (digest.hexdigest(), kummer, not_rigid) == EXPLICIT_DELTA_PINS[delta]
+    assert (digest.hexdigest(), rigid_kummer, not_rigid) == EXPLICIT_DELTA_PINS[delta]
 
 
 @pytest.mark.parametrize("case, splits, records", [("a", 104, 51), ("b", 157, 66)])
@@ -406,40 +413,37 @@ def test_a_sweep_splits_each_class_once_per_facing_positions(request, case, spli
     assert info.misses == info.currsize == records <= 13 * 13
 
 
-@pytest.mark.parametrize("case, paths, sorts, reads", [("a", 78, 2715, 14416),
-                                                       ("b", 128, 4607, 17476)])
-def test_a_sweep_finds_each_path_once_and_sorts_each_factor_once(request, case, paths, sorts,
-                                                                 reads):
-    """A full sweep looks up each factor's closure path once per (start,
-    node), however many diagrams share it (the 3,604 ordered Case A
-    diagrams ask for 6,200 paths), and reads each factor's class position
-    twice per diagram but sorts it at most once."""
+@pytest.mark.parametrize("case, sorts, kummer_inputs", [
+    ("a", {"catalog": 7208}, 0),
+    ("b", {"catalog": 9960, "correspondence": 3705, "kummer": 1996}, 390)], ids=["a", "b"])
+def test_a_sweep_sorts_each_factor_once_per_certify(request, monkeypatch, case, sorts,
+                                                    kummer_inputs):
+    """``certify`` reads both factors' class positions once, so the catalog
+    sorts each factor once per diagram, and each factor of a Kummer input
+    once for its entry; the Kummer route reads the five-fiber entry by the
+    partition it has just sorted, without a second sort."""
+    counts = Counter()
+    inputs = []
+
+    def counting(module):
+        def sort(indices):
+            counts[module.__name__.rpartition(".")[2]] += 1
+            return descending(indices)
+        return sort
+
+    for module in (catalog, correspondence, kummer, product):
+        monkeypatch.setattr(module, "descending", counting(module))
+    from_catalog = correspondence.kummer_input_from_catalog
+    monkeypatch.setattr(correspondence, "kummer_input_from_catalog",
+                        lambda *args: inputs.append(args) or from_catalog(*args))
     diagrams = request.getfixturevalue(f"case_{case}_diagrams")
-    _node_path.cache_clear()
-    _class_position.cache_clear()
     for d in diagrams:
         try:
             certificate_to_json(certify(d))
         except HypothesesNotMet:
             pass
-    info = _node_path.cache_info()
-    assert info.misses == info.currsize == paths
-    info = _class_position.cache_info()
-    assert (info.misses, info.hits + info.misses) == (sorts, reads)
-    assert info.currsize == 4 and sorts <= 2 * len(diagrams) < reads
-
-
-@pytest.mark.parametrize("case, distinct", [("a", 23), ("b", 95)])
-def test_equal_class_splits_are_one_object(request, case, distinct):
-    """A sweep's class splits are interned: Case A's 104 (start, facing)
-    keys hold 23 distinct splits, each one object."""
-    _class_split.cache_clear()
-    ids = {}
-    for d in request.getfixturevalue(f"case_{case}_diagrams"):
-        for split in _class_splits(d) or ():
-            ids.setdefault(split, set()).add(id(split))
-    assert len(ids) == distinct
-    assert all(len(same) == 1 for same in ids.values())
+    assert dict(counts) == sorts and len(inputs) == kummer_inputs
+    assert counts["catalog"] == 2 * (len(diagrams) + len(inputs))
 
 
 @pytest.mark.parametrize("node_count", [8.0, 8.5, True, "8"])

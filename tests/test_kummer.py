@@ -239,7 +239,7 @@ def test_delta_rule_equals_a_multiset_oracle_on_every_lone_i2_pair(case_b_diagra
             facing = sum(1 << i for i, other in enumerate(others) if not other)
             nodes.append(_closure_tuples(indices, GraphMode.CATALOG_GATED).nodes)
             splits.append(_class_split(indices, facing))
-        (l_free, l_lone), (r_free, r_lone) = splits
+        (l_free, l_lone, _), (r_free, r_lone, _) = splits
         lone = {(l, r) for l in l_free for r in r_lone} | {(l, r) for l in l_lone for r in r_free}
         for l_tuple in nodes[0]:
             for r_tuple in nodes[1]:

@@ -8,8 +8,8 @@ from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.errors import (ConflictingLabels, MalformedInput, NotInCatalog, SideMismatch,
                           TooFewFibers)
 from ellab.isogeny import GraphMode, _closure_tuples, candidate_moves, closure
-from ellab.product import (ProductDiagram, _class_splits, _node_path, _obstructions, _pair_rows,
-                           apply_move, common_singular_count,
+from ellab.product import (ProductDiagram, _class_split, _class_splits, _obstructions, _pair_rows,
+                           _partner, apply_move, common_singular_count,
                            diagram_to_json, factors_share_class,
                            find_rigid_partner, is_rigid_criterion, left_config,
                            make_product, parse_diagram, render_diagram,
@@ -95,6 +95,16 @@ def test_diagram_rejects_bool_indices(pairs):
     would hold a smooth False point."""
     with pytest.raises(MalformedInput, match="fiber indices must be integers"):
         ProductDiagram(default_points(len(pairs)), pairs)
+
+
+@pytest.mark.parametrize("points", [(1, 2, 3, 4, 5), ("P1", "P2", 3.0, "P4", "P5"),
+                                    (None, "P2", "P3", "P4", "P5"), (("P1",), "P2", "P3", "P4", "P5")])
+def test_diagram_rejects_labels_that_are_not_str(points):
+    """With int labels the worked example's Kummer report once raised
+    TypeError in its text writer; a float label did in the JSON writer."""
+    pairs = parse_diagram("4,4,2,1,1 / 6,2,_,3,1").pairs
+    with pytest.raises(MalformedInput, match="point labels must be strings"):
+        ProductDiagram(points, pairs)
 
 
 @pytest.mark.parametrize("pairs,expected", [
@@ -245,16 +255,17 @@ def test_positional_test_equals_pair_rows_on_every_small_composition():
                             substituted = _pair_rows(pairs, *((node, ones) if side == 0 else (ones, node)))
                             obstructions = tuple(_obstructions(substituted)[side])
                             expected.get(obstructions, []).append(node)
-                        assert _class_splits(d)[side] == (tuple(expected[()]), tuple(expected[(2,)]))
+                        assert _class_splits(d)[side][:2] == (tuple(expected[()]), tuple(expected[(2,)]))
                         cases += 1
     assert cases == 2 * 9488  # 53 four-fiber compositions x 16 subsets, 270 five-fiber x 32
 
 
-def test_node_path_is_the_closure_path_on_every_admissible_start():
-    """For each of the 323 admissible compositions of at most 5 fibers and
-    each node of its gated closure, the cached path is the closure's own
-    path to that node, the same object while the closure stays cached."""
-    _node_path.cache_clear()
+def test_partner_path_specs_are_the_closure_entrys_own_objects():
+    """For each of the 323 admissible compositions of at most 5 fibers, the
+    class split carries the gated closure entry itself, and a partner built
+    at each node of it, on either side, logs the entry's own path specs to
+    that node, the same objects while the closure stays cached."""
+    _class_split.cache_clear()
     _closure_tuples.cache_clear()
     starts = nodes = 0
     for n_cuts in (3, 4):
@@ -263,8 +274,15 @@ def test_node_path_is_the_closure_path_on_every_admissible_start():
             if descending(composition) not in ADMISSIBLE_PARTITIONS:
                 continue
             data = _closure_tuples(composition, GraphMode.CATALOG_GATED)
+            split = _class_split(composition, 0)
+            assert split[2] is data
+            d = ProductDiagram(default_points(len(composition)), tuple(zip(composition, composition)))
             for node, specs in zip(data.nodes, data.paths):
-                assert _node_path(composition, node) is specs
+                for side, pair in (("left", (node, composition)), ("right", (composition, node))):
+                    partner, path = _partner(d, (split, split), *pair)
+                    assert partner._factors == pair and len(path) == len(specs)
+                    assert all(s == side and spec is expected
+                               for (s, spec), expected in zip(path, specs))
                 nodes += 1
             starts += 1
     assert (starts, nodes) == (323, 708)
