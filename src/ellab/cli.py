@@ -4,15 +4,16 @@ Thin wrappers over the library, with byte-stable output.  Exit codes:
 0 success, 1 domain-negative result (certification failed, catalog miss),
 2 input error.  See docs/formats.md for the exact formats.
 
-Each handler imports the modules it runs, and ``argparse`` is imported only
-to build the parser, so a call loads (and, with no bytecode cache, compiles)
-only what its subcommand needs.
+Each handler imports the modules it runs, and :func:`main` reads the
+command line from one table of the six subcommands through
+:mod:`ellab.cmdline`, without ``argparse``, so a call loads (and, with no
+bytecode cache, compiles) only what its subcommand needs, and a bare import
+of this module compiles no parser.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 
 from .configs import (FiberConfig, _canonical_json, _parse_int, index_text, parse_config,
                       partition_of)
@@ -131,74 +132,116 @@ def _cmd_certify(args) -> int:
     return 0 if cert.kind is not CertificateKind.NOT_CERTIFIED else 1
 
 
-def _int_arg(text):
-    """argparse type of the integer options, through :func:`_parse_int`."""
-    import argparse
-    try:
-        return _parse_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+# The command line, one row per subcommand, in the layout ellab.cmdline reads.
+_JSON = ("--json", None, False)
+_COMMANDS = {
+    "catalog": (_cmd_catalog, ("partition?",), (_JSON,)),
+    "torsion": (_cmd_torsion, ("config",), (("-p", int, ...), _JSON)),
+    "class": (_cmd_class, ("config",),
+              (("--mode", ("combinatorial", "catalog"), "combinatorial"), _JSON)),
+    "product": (_cmd_product, ("left", "right"), (("--align", str, None), _JSON)),
+    "kummer": (_cmd_kummer, ("diagram",), (("--delta", int, None), _JSON)),
+    "certify": (_cmd_certify, ("diagram",), (("--delta", int, None), _JSON)),
+}
 
+# What -h prints: the help argparse printed for these rows at 80 columns.
+_HELP = {
+    "": """\
+usage: ellab [-h] {catalog,torsion,class,product,kummer,certify} ...
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, shared by every :func:`main` call:
-    parsing does not change it, and argparse parsers are reference cycles
-    (each action points back at its container), so a parser per call would
-    leave its whole graph to the cyclic garbage collector."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="ellab",
-        description="Classify semi-stable elliptic fiber configurations, their isogeny "
-                    "classes, and rigidity certificates for fiber products.")
-    sub = parser.add_subparsers(dest="command", required=True)
+Classify semi-stable elliptic fiber configurations, their isogeny classes, and
+rigidity certificates for fiber products.
 
-    p = sub.add_parser("catalog", help="list or query catalog entries")
-    p.add_argument("partition", nargs="?", help="partition to look up, e.g. 4422")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_catalog)
+positional arguments:
+  {catalog,torsion,class,product,kummer,certify}
+    catalog             list or query catalog entries
+    torsion             p-torsion section status of a configuration
+    class               isogeny closure of a configuration
+    product             build a fiber product diagram
+    kummer              Kummer rigidity report for a diagram
+    certify             certify a diagram against a rigid partner
 
-    p = sub.add_parser("torsion", help="p-torsion section status of a configuration")
-    p.add_argument("config", help="configuration, e.g. 53211 or 5,3,2,1,1")
-    p.add_argument("-p", type=_int_arg, required=True, help="prime, one of 2 3 5")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_torsion)
+options:
+  -h, --help            show this help message and exit
+""",
+    "catalog": """\
+usage: ellab catalog [-h] [--json] [partition]
 
-    p = sub.add_parser("class", help="isogeny closure of a configuration")
-    p.add_argument("config")
-    p.add_argument("--mode", choices=["combinatorial", "catalog"], default="combinatorial")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_class)
+positional arguments:
+  partition   partition to look up, e.g. 4422
 
-    p = sub.add_parser("product", help="build a fiber product diagram")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--align",
-                   help="per right-factor position: 1-based left position or _ for a new point, "
-                        "e.g. 1,2,4,5 (default: align by position)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_product)
+options:
+  -h, --help  show this help message and exit
+  --json
+""",
+    "torsion": """\
+usage: ellab torsion [-h] -p P [--json] config
 
-    p = sub.add_parser("kummer", help="Kummer rigidity report for a diagram")
-    p.add_argument("diagram", help="e.g. '4,4,2,1,1 / 6,2,_,3,1'")
-    p.add_argument("--delta", type=_int_arg, help="node count of the fixed curve")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_kummer)
+positional arguments:
+  config      configuration, e.g. 53211 or 5,3,2,1,1
 
-    p = sub.add_parser("certify", help="certify a diagram against a rigid partner")
-    p.add_argument("diagram")
-    p.add_argument("--delta", type=_int_arg, help="node count for the Kummer route")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_certify)
+options:
+  -h, --help  show this help message and exit
+  -p P        prime, one of 2 3 5
+  --json
+""",
+    "class": """\
+usage: ellab class [-h] [--mode {combinatorial,catalog}] [--json] config
 
-    return parser
+positional arguments:
+  config
+
+options:
+  -h, --help            show this help message and exit
+  --mode {combinatorial,catalog}
+  --json
+""",
+    "product": """\
+usage: ellab product [-h] [--align ALIGN] [--json] left right
+
+positional arguments:
+  left
+  right
+
+options:
+  -h, --help     show this help message and exit
+  --align ALIGN  per right-factor position: 1-based left position or _ for a
+                 new point, e.g. 1,2,4,5 (default: align by position)
+  --json
+""",
+    "kummer": """\
+usage: ellab kummer [-h] [--delta DELTA] [--json] diagram
+
+positional arguments:
+  diagram        e.g. '4,4,2,1,1 / 6,2,_,3,1'
+
+options:
+  -h, --help     show this help message and exit
+  --delta DELTA  node count of the fixed curve
+  --json
+""",
+    "certify": """\
+usage: ellab certify [-h] [--delta DELTA] [--json] diagram
+
+positional arguments:
+  diagram
+
+options:
+  -h, --help     show this help message and exit
+  --delta DELTA  node count for the Kummer route
+  --json
+""",
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    from .cmdline import parse  # compiled only when a command line is read
     try:
-        return args.handler(args)
+        handler, args = parse(sys.argv[1:] if argv is None else argv, _COMMANDS, _HELP)
+        if handler is None:  # args is the help text asked for
+            sys.stdout.write(args)
+            return 0
+        return handler(args)
     except EllabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

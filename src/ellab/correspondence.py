@@ -21,13 +21,14 @@ rigidity.  Anything else is honestly NotCertified.
 
 from __future__ import annotations
 
+from _json import encode_basestring_ascii  # as in ellab.configs
 from enum import Enum
 from functools import lru_cache
 
 from .catalog import _ENTRY_BY_PARTITION
-from .configs import _JSONText, _Record, _canonical_json, descending, index_text
+from .configs import _Record, _canonical_json, descending, index_text
 from .errors import HypothesesNotMet
-from .kummer import (KummerReport, _checked_node_count, _node_count, _report_payload,
+from .kummer import (KummerReport, _checked_node_count, _pattern_node_count, _report_payload,
                      kummer_input_from_catalog, kummer_rigidity)
 from .product import (AppliedMove, ProductDiagram, _class_positions, _class_splits, _log_specs,
                       _move_records, _obstructions, _pair_rows, _partner, _rigid_partner,
@@ -168,7 +169,9 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
                 f"kummer route {label}: five-fiber partition {five_partition} has no "
                 "quartic model with node-induced I_2 fibers")
             continue
-        delta = _node_count(_pair_rows(d.pairs, l_tuple, r_tuple), node_count)
+        # the split makes every candidate's one obstruction a lone I_2 x I_0 fiber
+        delta = node_count if node_count is not None \
+            else _pattern_node_count(_pair_rows(d.pairs, l_tuple, r_tuple))
         if delta is None:
             reasons.append(f"kummer route {label}: node count of the fixed curve unknown")
             continue
@@ -195,27 +198,41 @@ def _certificate(kind, case, diagram, path, **fields) -> Certificate:
 
 @lru_cache(maxsize=None)  # keys: (a, b), at most 13 x 13
 def _pair_record(a, b):
-    """The JSON record of one diagram pair, written once per (a, b) like
-    :func:`ellab.product._move_record`."""
-    return _JSONText(_canonical_json([a, b])[:-1])
+    """The JSON text of one diagram pair (two ints) at its depth in a
+    certificate, written once per (a, b)."""
+    return f"[\n        {a},\n        {b}\n      ]"
+
+
+def _json_list(texts, newline) -> str:
+    """A JSON list of item texts, each after ``newline`` (a newline and the
+    items' indent), with the closing bracket two spaces further out."""
+    if not texts:
+        return "[]"
+    return "[" + newline + ("," + newline).join(texts) + newline[:-2] + "]"
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    payload = {
-        "schema": 1,
-        "kind": str(cert.kind),
-        "case": str(cert.case.kind),
-        "diagram": None if cert.diagram is None else {
-            "points": list(cert.diagram.points),
-            "pairs": [_pair_record(a, b) for a, b in cert.diagram.pairs],
-        },
-        "moves": _move_records(cert._moves),
-        "kummer": None if cert.kummer_report is None
-        else _report_payload(cert.kummer_report),
-        "reasons": list(cert.reasons),
-        "warnings": list(cert.warnings),
-    }
-    return _canonical_json(payload)
+    """The schema-1 certificate, written from its fixed key order: byte-equal
+    to :func:`ellab.configs._canonical_json` of the payload with keys case,
+    diagram (pairs, points), kind, kummer, moves, reasons, schema and
+    warnings.  Move records and the Kummer block are re-indented text, as
+    the generic writer splices a ``_JSONText``."""
+    d = cert.diagram
+    if d is None:
+        diagram = "null"
+    else:
+        pairs = _json_list([_pair_record(a, b) for a, b in d.pairs], "\n      ")
+        points = _json_list(list(map(encode_basestring_ascii, d.points)), "\n      ")
+        diagram = f'{{\n    "pairs": {pairs},\n    "points": {points}\n  }}'
+    kummer = "null" if cert.kummer_report is None \
+        else _canonical_json(_report_payload(cert.kummer_report))[:-1].replace("\n", "\n  ")
+    moves = _json_list([record.replace("\n", "\n    ") for record in _move_records(cert._moves)],
+                       "\n    ")
+    reasons = _json_list(list(map(encode_basestring_ascii, cert.reasons)), "\n    ")
+    warnings = _json_list(list(map(encode_basestring_ascii, cert.warnings)), "\n    ")
+    return (f'{{\n  "case": "{cert.case.kind.value}",\n  "diagram": {diagram},\n'
+            f'  "kind": "{cert.kind.value}",\n  "kummer": {kummer},\n  "moves": {moves},\n'
+            f'  "reasons": {reasons},\n  "schema": 1,\n  "warnings": {warnings}\n}}\n')
 
 
 def render_certificate(cert: Certificate) -> str:

@@ -71,6 +71,12 @@ def _node_count(pairs, node_count=None) -> int | None:
     a lone I_2 x I_0 obstruction and a reference fixed-point multiset, else None."""
     if node_count is not None or _obstructions(pairs) not in LONE_I2_OBSTRUCTIONS:
         return node_count
+    return _pattern_node_count(pairs)
+
+
+def _pattern_node_count(pairs) -> int | None:
+    """The delta rule on ``pairs`` already known to have a lone I_2 x I_0
+    obstruction: 2 for a reference fixed-point multiset, else None."""
     counts = descending([fiber_fixed_points(a, b) for a, b in pairs])
     return 2 if counts in NODE_COUNT_PATTERNS else None
 

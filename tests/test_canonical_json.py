@@ -8,10 +8,13 @@ from hypothesis import given, strategies as st
 
 from ellab import catalog, configs, isogeny, product
 from ellab.configs import FiberConfig, _JSONText, _canonical_json
-from ellab.correspondence import certificate_to_json, certify
+from ellab.correspondence import (CaseKind, Certificate, CertificateKind, HypothesisCase,
+                                  certificate_to_json, certify)
 from ellab.errors import HypothesesNotMet
 from ellab.isogeny import GraphMode, closure, graph_to_json
-from ellab.product import diagram_to_json, make_product
+from ellab.kummer import _report_payload
+from ellab.product import (ProductDiagram, _move_records, diagram_to_json, make_product,
+                           parse_diagram)
 
 
 def reference(value):
@@ -145,3 +148,64 @@ def test_diagram_with_unusual_labels_matches_reference(checked):
     text = diagram_to_json(diagram)
     assert text == checked[0]
     assert '"\\u00dc"' in text and '"a\\"b"' in text
+
+
+def certificate_payload(cert, moves):
+    """The schema-1 certificate as a payload, its move records from ``moves``."""
+    return {
+        "schema": 1,
+        "kind": str(cert.kind),
+        "case": str(cert.case.kind),
+        "diagram": None if cert.diagram is None else {
+            "points": list(cert.diagram.points),
+            "pairs": [list(pair) for pair in cert.diagram.pairs],
+        },
+        "moves": [moves(record) for record in _move_records(cert._moves)],
+        "kummer": None if cert.kummer_report is None else _report_payload(cert.kummer_report),
+        "reasons": list(cert.reasons),
+        "warnings": list(cert.warnings),
+    }
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_every_certificate_matches_the_generic_writer(request, case):
+    """certificate_to_json writes from the certificate's fixed layout; the
+    generic writer, given the payload with the cached move records spliced
+    in, is its reference on every ordered diagram of both cases."""
+    kinds = set()
+    for d in request.getfixturevalue(f"case_{case}_diagrams"):
+        try:
+            cert = certify(d)
+        except HypothesesNotMet:
+            continue
+        kinds.add(cert.kind)
+        assert certificate_to_json(cert) == _canonical_json(certificate_payload(cert, lambda r: r))
+    every = {CertificateKind.RIGID_PRODUCT_PARTNER} if case == "a" else set(CertificateKind)
+    assert kinds == every
+
+
+UNUSUAL_LABELS = ('a"b', "c\\d", "e\x01f", "Ü", "\U0001f600")
+
+
+@pytest.mark.parametrize("text, kind, warned", [
+    ("3,3,3,3,_ / 9,1,_,1,1", CertificateKind.RIGID_PRODUCT_PARTNER, True),
+    ("4,4,2,1,1 / 6,2,_,3,1", CertificateKind.RIGID_KUMMER, False),
+    ("3,3,3,2,1 / 3,3,3,_,3", CertificateKind.NOT_CERTIFIED, False),
+])
+def test_certificate_with_unusual_labels_matches_reference(text, kind, warned):
+    """Point labels reach the certificate as given, so quotes, backslashes,
+    control and non-ASCII characters must be escaped as the standard
+    library's encoder escapes them."""
+    pairs = parse_diagram(text).pairs
+    cert = certify(ProductDiagram(UNUSUAL_LABELS[:len(pairs)], pairs))
+    assert cert.kind is kind and bool(cert.warnings) is warned
+    assert (cert.diagram is None) is (kind is CertificateKind.NOT_CERTIFIED)
+    assert certificate_to_json(cert) == reference(certificate_payload(cert, json.loads))
+
+
+def test_certificate_with_unusual_reasons_and_warnings_matches_reference():
+    """A certificate built through the public constructor may carry any
+    reason and warning text."""
+    cert = Certificate(CertificateKind.NOT_CERTIFIED, HypothesisCase(CaseKind.CASE_B),
+                       reasons=UNUSUAL_LABELS, warnings=UNUSUAL_LABELS[::-1])
+    assert certificate_to_json(cert) == reference(certificate_payload(cert, json.loads))

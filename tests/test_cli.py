@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ellab import catalog
-from ellab.cli import build_parser, main
+from ellab.cli import _COMMANDS, main
 from ellab.correspondence import certificate_to_json, certify
 from ellab.isogeny import closure, graph_to_json
 from ellab.configs import parse_config
@@ -262,14 +262,93 @@ def test_integers_take_ascii_digits_only(capsys, argv, message):
     ("kummer", WORKED, "--delta", "0_2"),
 ])
 def test_integer_options_take_ascii_digits_only(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert f"invalid int value: {argv[-1]!r}\n" in capsys.readouterr().err
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n"
 
 
-def test_main_shares_one_parser():
-    assert build_parser() is build_parser()
+# Each accepted spelling of a command gives the stdout of its plain form.
+@pytest.mark.parametrize("argv, plain", [
+    (("class", "--mode", "catalog", "44211"), ("class", "44211", "--mode", "catalog")),
+    (("class", "44211", "--mode=catalog"), ("class", "44211", "--mode", "catalog")),
+    (("class", "44211", "--mo", "catalog"), ("class", "44211", "--mode", "catalog")),
+    (("torsion", "-p2", "53211"), ("torsion", "53211", "-p", "2")),
+    (("torsion", "53211", "-p=2", "--js"), ("torsion", "53211", "-p", "2", "--json")),
+    (("torsion", "53211", "-p", "3", "-p", "2"), ("torsion", "53211", "-p", "2")),
+    (("catalog", "--json", "4422"), ("catalog", "4422", "--json")),
+    (("catalog", "--js"), ("catalog", "--json")),
+    (("catalog", "--", "4422"), ("catalog", "4422")),
+    (("product", "44211", "--align=1,2,4,5", "6231"),
+     ("product", "44211", "6231", "--align", "1,2,4,5")),
+    (("kummer", "--del", "2", WORKED), ("kummer", WORKED, "--delta", "2")),
+    (("certify", WORKED, "--delta=2", "--j"), ("certify", WORKED, "--delta", "2", "--json")),
+], ids=lambda value: " ".join(value))
+def test_accepted_spellings_give_the_plain_forms_stdout(capsys, argv, plain):
+    expected = run(capsys, *plain)
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("frobnicate",), "argument command: invalid choice: 'frobnicate' (choose from 'catalog', "
+                      "'torsion', 'class', 'product', 'kummer', 'certify')"),
+    ((), "the following arguments are required: command"),
+    (("torsion", "3333"), "the following arguments are required: -p"),
+    (("torsion",), "the following arguments are required: config, -p"),
+    (("class", "3333", "9111"), "unrecognized arguments: 9111"),
+    (("class", "3333", "--bogus"), "unrecognized arguments: --bogus"),
+    (("--json", "class", "3333"), "unrecognized arguments: --json"),
+    (("class", "3333", "--mode", "gated"),
+     "argument --mode: invalid choice: 'gated' (choose from 'combinatorial', 'catalog')"),
+    (("torsion", "3333", "-p"), "argument -p: expected one argument"),
+    (("torsion", "3333", "-p", "--json"), "argument -p: expected one argument"),
+    (("product", "4422", "6231", "--align"), "argument --align: expected one argument"),
+    (("class", "3333", "--json=yes"), "argument --json: ignored explicit argument 'yes'"),
+])
+def test_usage_errors_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, first_line, helps", [
+    (("--help",), "usage: ellab [-h] {catalog,torsion,class,product,kummer,certify} ...",
+     ["Classify semi-stable elliptic fiber configurations", "list or query catalog entries",
+      "certify a diagram against a rigid partner"]),
+    (("-h",), "usage: ellab [-h] {catalog,torsion,class,product,kummer,certify} ...", []),
+    (("certify", "-h"), "usage: ellab certify [-h] [--delta DELTA] [--json] diagram",
+     ["node count for the Kummer route"]),
+    (("torsion", "3333", "--he"), "usage: ellab torsion [-h] -p P [--json] config",
+     ["-p P        prime, one of 2 3 5"]),
+])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv, first_line, helps):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first_line
+    assert "show this help message and exit" in out
+    for text in helps:
+        assert text in out
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_help_names_every_positional_and_option_of_its_row(capsys, name):
+    """The help text is written out beside the table; it must name what
+    the table's row reads."""
+    _, positionals, options = _COMMANDS[name]
+    code, out, _ = run(capsys, name, "--help")
+    usage = out.splitlines()[0] + " "
+    assert code == 0 and usage.startswith(f"usage: ellab {name} [-h] ")
+    for positional in positionals:
+        optional = positional.endswith("?")
+        assert (f" [{positional[:-1]}] " if optional else f" {positional} ") in usage
+    for flag, _, default in options:
+        assert (f" {flag} " if default is ... else f" [{flag}") in usage
+        assert f"\n  {flag}" in out
+    assert f"\n    {name} " in run(capsys, "--help")[1]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ellab", "class", "3333"])
+    assert main() == 0
+    assert capsys.readouterr().out == "3333\n9111\n1911\n1191\n1119\n"
 
 
 def test_module_entry_point():
@@ -285,7 +364,7 @@ def test_module_entry_point():
 
 
 # What each command loads, as README's "What a command loads" lists it.
-_BASE = {"ellab", "ellab.cli", "ellab.configs", "ellab.errors"}
+_BASE = {"ellab", "ellab.cli", "ellab.cmdline", "ellab.configs", "ellab.errors"}
 _CATALOG = _BASE | {"ellab.catalog"}
 _CLASS = _CATALOG | {"ellab.isogeny"}
 _PRODUCT = _CLASS | {"ellab.product"}
@@ -298,24 +377,25 @@ _LOADS = [
     ("certify", ["certify", WORKED, "--json"], 0,
      _PRODUCT | {"ellab.kummer", "ellab.correspondence"}),
     ("help", ["--help"], 0, _BASE),
+    ("command help", ["certify", "-h"], 0, _BASE),
     ("malformed", ["torsion", "53211"], 2, _BASE),
+    ("unknown command", ["frobnicate"], 2, _BASE),
+    ("bad choice", ["class", "3333", "--mode", "x"], 2, _BASE),
 ]
 
 # Run in a child under -S, so site's own imports stay out of the check.
 _LOAD_PROBE = """\
 import io, sys
 import ellab.cli
-bare = sorted({"argparse", "json", "dataclasses", "inspect"} & set(sys.modules))
+bare = sorted({"argparse", "json", "dataclasses", "inspect", "ellab.cmdline"} & set(sys.modules))
 sys.stdout = sys.stderr = io.StringIO()
-try:
-    code = ellab.cli.main(sys.argv[1:])
-except SystemExit as exc:
-    code = exc.code
+code = ellab.cli.main()  # reads sys.argv; returns its exit code, help and usage errors too
 sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
 print(code)
 print(" ".join(bare))
 print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "ellab")))
-print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+print(" ".join(sorted({"dataclasses", "inspect", "argparse", "gettext", "locale"}
+                      & set(sys.modules))))
 """
 
 
@@ -323,8 +403,9 @@ print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
                          ids=[case[0] for case in _LOADS])
 def test_cli_loads_only_what_the_command_runs(argv, code, modules):
     """A bare ``import ellab.cli`` loads neither argparse nor json (nor
-    dataclasses and inspect); each command then loads exactly its own
-    modules, and never dataclasses or inspect."""
+    dataclasses, inspect and the command line reader); each command, help and usage errors included,
+    then loads exactly its own modules, and never dataclasses, inspect,
+    argparse, gettext or locale."""
     import os
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))

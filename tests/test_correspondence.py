@@ -446,6 +446,30 @@ def test_a_sweep_sorts_each_factor_once_per_certify(request, monkeypatch, case, 
     assert counts["catalog"] == 2 * (len(diagrams) + len(inputs))
 
 
+def test_certify_applies_the_delta_rule_without_rescanning_obstructions(monkeypatch,
+                                                                        case_b_diagrams):
+    """The class split gives every Kummer candidate exactly one obstruction,
+    a lone I_2 x I_0 fiber, so ``certify`` applies the fixed-point rule
+    alone: a Case B sweep scans no obstructions in ``kummer`` (it scanned
+    1,996 before).  The public rule still checks its input."""
+    scans = []
+
+    def scanning(rows):
+        scans.append(rows)
+        return product._obstructions(rows)
+
+    monkeypatch.setattr(kummer, "_obstructions", scanning)
+    rigid_kummer = 0
+    for d in case_b_diagrams:
+        try:
+            rigid_kummer += certify(d).kind is CertificateKind.RIGID_KUMMER
+        except HypothesesNotMet:
+            pass
+    assert (len(scans), rigid_kummer) == (0, 390)
+    assert kummer.default_node_count(parse_diagram("3,3,3,3,_ / 4,2,1,1,4")) is None
+    assert len(scans) == 1
+
+
 @pytest.mark.parametrize("node_count", [8.0, 8.5, True, "8"])
 def test_certify_refuses_a_node_count_that_is_not_an_int(node_count):
     """8 certifies this diagram by the Kummer route; 8.0 once did too, and
