@@ -17,10 +17,10 @@ _EXPORTS = {
     "errors": ("EllabError",),
     "isogeny": ("GraphMode", "IsogenyGraph", "IsogenyMove", "candidate_moves", "catalog_class",
                 "closure", "dual_move", "graph_to_json", "graph_to_tsv", "halved_sum"),
-    "kummer": ("KummerInput", "KummerReport", "Rationality", "branch_curve_euler",
-               "component_interval", "default_node_count", "equisingular_zero",
-               "fiber_fixed_points", "kummer_input_from_catalog", "kummer_rigidity",
-               "make_kummer_input", "rationality_verdict", "report_to_json"),
+    "kummer": ("KummerInput", "KummerReport", "Rationality", "component_interval",
+               "default_node_count", "equisingular_zero", "fiber_fixed_points",
+               "kummer_input_from_catalog", "kummer_rigidity", "make_kummer_input",
+               "rationality_verdict", "report_to_json"),
     "product": ("AppliedMove", "ProductDiagram", "apply_move", "common_singular_count",
                 "diagram_to_json", "factors_share_class", "find_rigid_partner",
                 "is_rigid_criterion", "left_config", "make_product", "parse_diagram",

@@ -156,24 +156,15 @@ _JSON_SCALARS = {
 }
 
 
-class _JSONText(str):
-    """A value's JSON text at indent 0, without the final newline, that
-    :func:`_emit_json` writes at any depth by replacing each newline with the
-    newline and indent there (a JSON string holds no raw newline)."""
-
-    __slots__ = ()
-
-
 def _canonical_json(value) -> str:
     """The package's one JSON writer: two-space indent, sorted keys, ASCII
     escapes and a final newline, byte-equal to the standard library's
     encoder called with ``indent=2, sort_keys=True``.
 
-    It takes exactly dict (str keys), list, str, int, bool, None and
-    :class:`_JSONText`; any other value or key, another ``str`` subclass
-    included, raises TypeError rather than diverging.  With an
-    indent the standard encoder runs in pure Python and costs nearly as much
-    as the certification it serializes.
+    It takes exactly dict (str keys), list, str, int, bool and None; any
+    other value or key, a ``str`` subclass included, raises TypeError rather
+    than diverging.  With an indent the standard encoder runs in pure Python
+    and costs nearly as much as the certification it serializes.
     """
     out = []
     _emit_json(value, out, "\n")
@@ -223,7 +214,5 @@ def _emit_json(value, out, newline):
                 out.append(scalar(item))
             separator = "," + inner
         out.append(newline + "}")
-    elif kind is _JSONText:
-        out.append(value.replace("\n", newline))
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -27,11 +27,11 @@ from functools import lru_cache
 
 from .catalog import _ENTRY_BY_PARTITION
 from .configs import _Record, _canonical_json, descending, index_text
-from .errors import HypothesesNotMet
+from .errors import HypothesesNotMet, MalformedInput
 from .kummer import (KummerReport, _checked_node_count, _pattern_node_count, _report_payload,
                      kummer_input_from_catalog, kummer_rigidity)
 from .product import (AppliedMove, ProductDiagram, _class_positions, _class_splits, _log_specs,
-                      _move_records, _obstructions, _pair_rows, _partner, _rigid_partner,
+                      _move_record, _obstructions, _pair_rows, _partner, _rigid_partner,
                       common_singular_count, render_diagram)
 
 
@@ -75,6 +75,11 @@ class Certificate(_Record):
                  diagram: ProductDiagram | None = None, moves: tuple[AppliedMove, ...] = (),
                  kummer_report: KummerReport | None = None, reasons: tuple[str, ...] = (),
                  warnings: tuple[str, ...] = ()):
+        reasons, warnings = tuple(reasons), tuple(warnings)  # texts: the writers take exactly str
+        if (type(kind) is not CertificateKind or not isinstance(case, HypothesisCase)
+                or not all(type(text) is str for text in reasons + warnings)):
+            raise MalformedInput(f"a certificate needs a CertificateKind, a HypothesisCase and "
+                                 f"str texts, got {kind!r}, {case!r}, {reasons}, {warnings}")
         self._set_fields(kind, case, diagram, (tuple(moves), ()), kummer_report, reasons, warnings)
 
     @property
@@ -156,8 +161,8 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
     reasons = ["no rigid fiber-product partner among the class representatives"]
     if case.kind is CaseKind.CASE_A:
         reasons.append("no five-fiber factor, so the Kummer route does not apply")
-        return Certificate(CertificateKind.NOT_CERTIFIED, case,
-                           reasons=tuple(reasons), warnings=warnings)
+        return _certificate(CertificateKind.NOT_CERTIFIED, case, None, (),
+                            reasons=tuple(reasons), warnings=warnings)
     (l_free, l_lone, _), (r_free, r_lone, _) = splits
     candidates = [(l, r) for l in l_free for r in r_lone] + [(l, r) for l in l_lone for r in r_free]
     candidates.sort(key=lambda pair: pair != d._factors)  # the input pair first
@@ -184,15 +189,16 @@ def certify(d: ProductDiagram, node_count: int | None = None) -> Certificate:
             f"kummer route {label}: not rigid (euler {report.euler}, components "
             f"{report.component_min}..{report.component_max}, {report.rationality}, "
             f"equisingular_zero={report.equisingular_zero})")
-    return Certificate(CertificateKind.NOT_CERTIFIED, case,
-                       reasons=tuple(reasons), warnings=warnings)
+    return _certificate(CertificateKind.NOT_CERTIFIED, case, None, (),
+                        reasons=tuple(reasons), warnings=warnings)
 
 
-def _certificate(kind, case, diagram, path, **fields) -> Certificate:
-    """A certificate whose moves are ``path``, (side, _MoveSpec) pairs from
+def _certificate(kind, case, diagram, path, kummer_report=None, reasons=(), warnings=()):
+    """A certificate of checked parts, built without the constructor's checks;
+    its moves are ``path``, (side, _MoveSpec) pairs from
     :func:`ellab.product._partner`, typed when they are read."""
-    cert = Certificate(kind, case, diagram, **fields)
-    object.__setattr__(cert, "_moves", ((), path))
+    cert = Certificate.__new__(Certificate)
+    cert._set_fields(kind, case, diagram, ((), path), kummer_report, reasons, warnings)
     return cert
 
 
@@ -215,8 +221,8 @@ def certificate_to_json(cert: Certificate) -> str:
     """The schema-1 certificate, written from its fixed key order: byte-equal
     to :func:`ellab.configs._canonical_json` of the payload with keys case,
     diagram (pairs, points), kind, kummer, moves, reasons, schema and
-    warnings.  Move records and the Kummer block are re-indented text, as
-    the generic writer splices a ``_JSONText``."""
+    warnings.  Move records and the Kummer block are their canonical text at
+    indent 0, with each newline re-indented to their depth here."""
     d = cert.diagram
     if d is None:
         diagram = "null"
@@ -226,8 +232,8 @@ def certificate_to_json(cert: Certificate) -> str:
         diagram = f'{{\n    "pairs": {pairs},\n    "points": {points}\n  }}'
     kummer = "null" if cert.kummer_report is None \
         else _canonical_json(_report_payload(cert.kummer_report))[:-1].replace("\n", "\n  ")
-    moves = _json_list([record.replace("\n", "\n    ") for record in _move_records(cert._moves)],
-                       "\n    ")
+    moves = _json_list([_move_record(*pair).replace("\n", "\n    ")
+                        for pair in _log_specs(cert._moves)], "\n    ")
     reasons = _json_list(list(map(encode_basestring_ascii, cert.reasons)), "\n    ")
     warnings = _json_list(list(map(encode_basestring_ascii, cert.warnings)), "\n    ")
     return (f'{{\n  "case": "{cert.case.kind.value}",\n  "diagram": {diagram},\n'

@@ -17,7 +17,6 @@ components.  The embedded class tables resolve that ambiguity, and
 
 from __future__ import annotations
 
-from collections import defaultdict
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -46,7 +45,11 @@ PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; p at or above PRIME_TEST_BOUND is an input error."""
+    """Deterministic Miller-Rabin.  A p that is not an int, or is at or above
+    PRIME_TEST_BOUND, is an input error.  Every p reaches this check before a
+    cache does, whose keys compare 3.0 and True equal to 3 and 1."""
+    if type(p) is not int:
+        raise MalformedInput(f"prime argument must be an int, got {p!r}")
     if p <= 41:
         return p in _SMALL_PRIMES
     if p >= PRIME_TEST_BOUND:
@@ -177,29 +180,14 @@ def dual_move(move: IsogenyMove) -> IsogenyMove:
 
 
 def _matchings(row, start):
-    """Position bijections sigma with start[sigma[i]] == row[i]."""
-    row_slots = defaultdict(list)
-    start_slots = defaultdict(list)
-    for i, k in enumerate(row):
-        row_slots[k].append(i)
-    for i, k in enumerate(start):
-        start_slots[k].append(i)
-    per_value = [
-        [dict(zip(row_slots[k], perm)) for perm in permutations(start_slots[k])]
-        for k in row_slots
-    ]
-    for parts in product(*per_value):
-        sigma = {}
-        for part in parts:
-            sigma.update(part)
-        yield sigma
-
-
-def _transport(row, sigma):
-    out = [0] * len(row)
-    for i, k in enumerate(row):
-        out[sigma[i]] = k
-    return tuple(out)
+    """Each value-preserving index map ``perm``: row[perm[j]] == start[j]."""
+    values = sorted(set(start))
+    order = sorted(range(len(start)), key=start.__getitem__)  # start positions by value
+    for parts in product(*[permutations([i for i, k in enumerate(row) if k == v]) for v in values]):
+        perm = [0] * len(start)
+        for j, i in zip(order, [i for part in parts for i in part]):
+            perm[j] = i
+        yield perm
 
 
 def _class_of(start: tuple[int, ...]):
@@ -224,8 +212,8 @@ def _class_of(start: tuple[int, ...]):
     transported = set()
     for row in cls:
         if sorted(row) == multiset:
-            for sigma in _matchings(row, start):
-                transported.add(tuple(_transport(r, sigma) for r in cls))
+            for perm in _matchings(row, start):
+                transported.add(tuple([tuple([r[i] for i in perm]) for r in cls]))
     variants = {frozenset(rows) for rows in transported}
     if len(variants) == 1:
         # column row order is kept; the smallest variant fixes the tie

@@ -148,11 +148,6 @@ def kummer_input_from_catalog(diagram: ProductDiagram, node_count=None) -> Kumme
                              right.branch_component_degrees, flags, node_count)
 
 
-def branch_curve_euler(inp: KummerInput) -> int:
-    """Euler number of the resolved fixed curve (the report's ``euler``)."""
-    return kummer_rigidity(inp).euler
-
-
 def component_interval(left_degrees, right_degrees) -> tuple[int, int]:
     """(c_min, c_max) for the intersection of the two quartic cones.
 

@@ -14,8 +14,8 @@ from functools import lru_cache, partial
 from typing import Literal
 
 from . import catalog
-from .configs import (FiberConfig, MIN_FIBERS, TOTAL_INDEX, _JSONText, _Record, _canonical_json,
-                      _parse_int, default_points, descending)
+from .configs import (FiberConfig, MIN_FIBERS, TOTAL_INDEX, _Record, _canonical_json, _parse_int,
+                      default_points, descending)
 from .errors import ConflictingLabels, MalformedInput, SideMismatch, TooFewFibers
 from .isogeny import GraphMode, IsogenyMove, _closure_entry, _spec_of, _typed_move
 
@@ -313,17 +313,16 @@ def _log_specs(log):
     return tuple([(a.side, _spec_of(a.move)) for a in moves]) + path
 
 
+def _move_payload(side, spec):
+    """The JSON payload of one logged move."""
+    return {"side": side, "p": spec.p, "D": list(spec.divided), "source": list(spec.source),
+            "target": list(spec.target)}
+
+
 @lru_cache(maxsize=None)  # keys: (side, spec), at most 2 x 892; 64 over Case A, 99 over Case B
 def _move_record(side, spec):
-    """The JSON record of one logged move."""
-    return _JSONText(_canonical_json({"side": side, "p": spec.p, "D": list(spec.divided),
-                                      "source": list(spec.source), "target": list(spec.target)})[:-1])
-
-
-def _move_records(log) -> list[_JSONText]:
-    """JSON records of a (moves, path) log, each rendered once by
-    :func:`_move_record`."""
-    return [_move_record(*pair) for pair in _log_specs(log)]
+    """The JSON text of one logged move at indent 0, without the final newline."""
+    return _canonical_json(_move_payload(side, spec))[:-1]
 
 
 def diagram_to_json(d: ProductDiagram) -> str:
@@ -331,6 +330,6 @@ def diagram_to_json(d: ProductDiagram) -> str:
         "schema": 1,
         "points": list(d.points),
         "pairs": [list(pair) for pair in d.pairs],
-        "log": _move_records(d._log),
+        "log": [_move_payload(*pair) for pair in _log_specs(d._log)],
     }
     return _canonical_json(payload)

@@ -73,11 +73,6 @@ def _nondivisible(indices, p) -> list[int]:
     return [i for i, k in enumerate(indices) if k % p]
 
 
-def _few_nondivisible(nondivisible) -> bool:
-    """First sufficient condition: at most three indices not divisible by p."""
-    return len(nondivisible) <= 3
-
-
 def _subset_criterion(indices, p, nondivisible) -> bool:
     """Second sufficient condition, quantified over all four-position subsets E
     containing every index not divisible by p.
@@ -100,8 +95,9 @@ def _subset_criterion(indices, p, nondivisible) -> bool:
 
 
 def _sufficient(indices, p, nondivisible) -> bool:
-    """The sufficient criterion: either condition holds."""
-    return _few_nondivisible(nondivisible) or _subset_criterion(indices, p, nondivisible)
+    """The sufficient criterion: either condition holds, the first being at
+    most three indices not divisible by p."""
+    return len(nondivisible) <= 3 or _subset_criterion(indices, p, nondivisible)
 
 
 def sufficient_torsion_criterion(config: FiberConfig, p: int) -> bool:
@@ -111,14 +107,9 @@ def sufficient_torsion_criterion(config: FiberConfig, p: int) -> bool:
     return _sufficient(config.indices, p, _nondivisible(config.indices, p))
 
 
-def _excludes_two_torsion(odd) -> bool:
-    """The parity bound on the positions ``odd`` of the odd indices."""
-    return len(odd) > 4
-
-
 def excludes_two_torsion(config: FiberConfig) -> bool:
     """More than four odd indices: no two-torsion section can exist."""
-    return _excludes_two_torsion(_nondivisible(config.indices, 2))
+    return len(_nondivisible(config.indices, 2)) > 4
 
 
 @lru_cache(maxsize=1)
@@ -147,7 +138,7 @@ def _verdict(partition: tuple[int, ...], p: int) -> tuple[tuple[Provenance, ...]
     elif (partition, p) in _table_move_partitions():
         yes = (Provenance.CATALOG_TABLE,)
     no = ()
-    if p == 2 and _excludes_two_torsion(nondivisible):
+    if p == 2 and len(nondivisible) > 4:  # the parity bound: more than four odd indices
         no = (Provenance.NECESSARY_CRITERION,)
     if not _moves(partition, p):
         no += (Provenance.MOVE_NONEXISTENCE,)
@@ -164,6 +155,8 @@ def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
     cached (see :func:`_verdict`); each call builds a fresh status from it,
     and a contradiction names the configuration as given.
     """
+    if type(p) is not int:  # before the cache, whose keys compare 3.0 equal to 3
+        raise MalformedInput(f"prime argument must be an int, got {p!r}")
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedPrime(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
     yes, no = _verdict(descending(config.indices), p)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -417,3 +418,70 @@ def test_cli_loads_only_what_the_command_runs(argv, code, modules):
     assert bare == ""
     assert set(loaded.split()) == modules
     assert heavy == ""
+
+
+def class_torsion_digest() -> str:
+    """sha256 over argv, exit code, stdout and stderr of in-process
+    ``main`` runs: ``class`` on all 1,981 compositions of 12 into at least
+    four parts, in both modes, as text and ``--json``, and ``torsion`` on
+    every composition at p = 2, 3 and 5, as text and ``--json``: 19,810
+    commands."""
+    import contextlib
+    import io
+    import itertools
+    digest = hashlib.sha256()
+    compositions = [",".join(str(b - a) for a, b in zip((0,) + cuts, cuts + (12,)))
+                    for n in range(4, 13) for cuts in itertools.combinations(range(1, 12), n - 1)]
+    assert len(compositions) == 1981
+    commands = [["class", c, "--mode", mode, *json_flag] for c in compositions
+                for mode in ("catalog", "combinatorial") for json_flag in ([], ["--json"])]
+    commands += [["torsion", c, "-p", p, *json_flag] for c in compositions
+                 for p in ("2", "3", "5") for json_flag in ([], ["--json"])]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update(f"{' '.join(argv)}\0{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode())
+    assert len(commands) == 19810
+    return digest.hexdigest()
+
+
+# class_torsion_digest of the output of every class and torsion command
+CLASS_TORSION_SHA256 = "049f4530dbb975fe7a9c26835dcc0eb1ed43468dfc2e9b0558ba23d02646d63c"
+
+
+def test_class_and_torsion_outputs_are_pinned():
+    assert class_torsion_digest() == CLASS_TORSION_SHA256
+
+
+# p of the wrong type, each of which once left an entry behind in a prime-keyed cache
+_POISON_PROBE = """\
+from ellab.configs import parse_config
+from ellab.errors import MalformedInput
+from ellab.isogeny import candidate_moves, halved_sum
+from ellab.torsion import sufficient_torsion_criterion, torsion_status
+from test_cli import class_torsion_digest
+for call, args in [(candidate_moves, (parse_config("9111"), 3.0)),
+                   (torsion_status, (parse_config("3333"), 3.0)),
+                   (sufficient_torsion_criterion, (parse_config("3333"), 3.0)),
+                   (halved_sum, (2.0,)), (halved_sum, (True,))]:
+    try:
+        call(*args)
+    except MalformedInput:
+        continue
+    raise SystemExit(f"{call.__name__}{args} did not raise MalformedInput")
+print(class_torsion_digest())
+"""
+
+
+def test_a_wrong_type_prime_leaves_the_outputs_as_they_were():
+    """In a fresh process, each call with a float or bool p raises
+    MalformedInput, and the class and torsion outputs after them still give
+    the pinned digest: no cache kept an entry from those calls."""
+    import os
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(repo / "src"), str(repo / "tests")]))
+    result = subprocess.run([sys.executable, "-c", _POISON_PROBE],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == CLASS_TORSION_SHA256 + "\n"

@@ -8,8 +8,9 @@ import pytest
 from ellab import catalog, correspondence, kummer, product
 from ellab.catalog import FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES
 from ellab.configs import FiberConfig, default_points, descending, parse_config
-from ellab.correspondence import (CaseKind, CertificateKind, _pair_record, certificate_to_json,
-                                  certify, classify_hypotheses, render_certificate)
+from ellab.correspondence import (CaseKind, Certificate, CertificateKind, HypothesisCase,
+                                  _pair_record, certificate_to_json, certify,
+                                  classify_hypotheses, render_certificate)
 from ellab.errors import HypothesesNotMet, MalformedInput, NotInCatalog
 from ellab.isogeny import GraphMode, IsogenyMove, _closure_tuples, candidate_moves
 from ellab.kummer import Rationality, kummer_input_from_catalog, kummer_rigidity
@@ -479,3 +480,24 @@ def test_certify_refuses_a_node_count_that_is_not_an_int(node_count):
     assert certify(d, node_count=8).kind is CertificateKind.RIGID_KUMMER
     with pytest.raises(MalformedInput, match="node count must be an integer"):
         certify(d, node_count=node_count)
+
+
+@pytest.mark.parametrize("args, fields", [
+    ((CertificateKind.NOT_CERTIFIED, HypothesisCase(CaseKind.CASE_B)),
+     {"reasons": (1, None), "warnings": ["w"]}),
+    (("bogus", "case"), {}),
+    ((CertificateKind.NOT_CERTIFIED, CaseKind.CASE_B), {}),
+    ((CertificateKind.NOT_CERTIFIED, HypothesisCase(CaseKind.CASE_B)), {"warnings": ("w", b"x")}),
+])
+def test_certificate_rejects_fields_of_the_wrong_type(args, fields):
+    with pytest.raises(MalformedInput):
+        Certificate(*args, **fields)
+
+
+def test_certificate_keeps_reasons_and_warnings_as_tuples():
+    cert = Certificate(CertificateKind.NOT_CERTIFIED, HypothesisCase(CaseKind.CASE_B),
+                       reasons=["r"], warnings=["w"])
+    assert cert.reasons == ("r",) and cert.warnings == ("w",)
+    assert certificate_to_json(cert) == certificate_to_json(
+        Certificate(CertificateKind.NOT_CERTIFIED, HypothesisCase(CaseKind.CASE_B),
+                    reasons=("r",), warnings=("w",)))

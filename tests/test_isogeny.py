@@ -14,10 +14,11 @@ from ellab.errors import MalformedInput, NotInCatalog, NotPrime, TorsionContradi
 from ellab import isogeny
 from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
                            _check_move, _class_of, _closure_entry, _closure_tuples,
-                           _is_prime, _move_specs,
+                           _is_prime, _matchings, _move_specs,
                            candidate_moves, catalog_class, closure, dual_move, graph_to_json,
                            graph_to_tsv, halved_sum)
-from ellab.torsion import _table_move_partitions, _verdict, excludes_two_torsion, torsion_status
+from ellab.torsion import (_table_move_partitions, _verdict, excludes_two_torsion,
+                           sufficient_torsion_criterion, torsion_status)
 
 
 def cfg(indices, labels=None):
@@ -114,6 +115,21 @@ def test_prime_test_agrees_with_trial_division():
     def trial(n):
         return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
     assert all(_is_prime(n) == trial(n) for n in range(-5, 20000))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, True, None, "3"])
+def test_a_prime_that_is_not_an_int_is_malformed(p):
+    """Every p-taking entry rejects p of another type before a cache sees it,
+    also once the same value as an int is cached."""
+    config = parse_config("3333")
+    torsion_status(config, 3)
+    candidate_moves(config, 3)
+    for call, args in [(halved_sum, (p,)), (candidate_moves, (config, p)),
+                       (sufficient_torsion_criterion, (config, p)),
+                       (torsion_status, (config, p)),
+                       (IsogenyMove, (p, (0,), config, parse_config("9111")))]:
+        with pytest.raises(MalformedInput):
+            call(*args)
 
 
 def test_moves_4422():
@@ -605,6 +621,20 @@ def test_catalog_class_rejects_ambiguous_62211_variant():
                                ((8, 1, 1, 1, 1), "81111")):
         with pytest.raises(NotInCatalog, match=f"partition {partition} are not determined"):
             catalog_class(cfg(indices))
+
+
+def test_matchings_equal_the_brute_force_maps():
+    """For every table row and every start of at most five fibers with the
+    same multiset, _matchings yields exactly the index maps perm among all
+    permutations with row[perm[j]] == start[j], each once."""
+    starts = 0
+    for row in sorted({row for cls in ALL_CLASSES for row in cls if len(row) <= 5}):
+        for start in set(itertools.permutations(row)):
+            expected = [perm for perm in itertools.permutations(range(len(row)))
+                        if all(row[i] == k for i, k in zip(perm, start))]
+            assert sorted(map(tuple, _matchings(row, start))) == expected, (row, start)
+            starts += 1
+    assert starts == 485
 
 
 def test_catalog_class_rejects_inadmissible():

@@ -7,7 +7,7 @@ from ellab.configs import default_points
 from ellab.correspondence import CaseKind, classify_hypotheses
 from ellab.errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
 from ellab.isogeny import GraphMode, _closure_tuples
-from ellab.kummer import (LONE_I2_OBSTRUCTIONS, Rationality, _node_count, branch_curve_euler,
+from ellab.kummer import (LONE_I2_OBSTRUCTIONS, Rationality, _node_count,
                           component_interval, default_node_count, equisingular_zero,
                           fiber_fixed_points, kummer_input_from_catalog,
                           kummer_rigidity, make_kummer_input, rationality_verdict,
@@ -59,20 +59,20 @@ def test_default_node_count():
 
 def test_branch_curve_euler_first_example():
     inp = make_kummer_input(DIAGRAM_A, (2, 1, 1), (2, 1, 1), {"P3": True}, node_count=2)
-    assert branch_curve_euler(inp) == 16 * (2 - 5) + (16 + 16 + 16 + 9 + 9) + 2
-    assert branch_curve_euler(inp) == 20
+    assert kummer_rigidity(inp).euler == 16 * (2 - 5) + (16 + 16 + 16 + 9 + 9) + 2
+    assert kummer_rigidity(inp).euler == 20
 
 
 def test_branch_curve_euler_second_example():
     inp = make_kummer_input(DIAGRAM_B, (3, 1), (2, 1, 1), {"P3": True}, node_count=2)
-    assert branch_curve_euler(inp) == 12
+    assert kummer_rigidity(inp).euler == 12
 
 
 def test_branch_curve_euler_formula():
     # five even-or-smooth pairs, no nodes: -48 + 5 * 16 + 0
     d = parse_diagram("4,4,2,2,_ / 2,_,4,2,4")
     inp = make_kummer_input(d, (1, 1, 1, 1), (1, 1, 1, 1), {}, node_count=0)
-    assert branch_curve_euler(inp) == 32
+    assert kummer_rigidity(inp).euler == 32
 
 
 def test_euler_linear_in_node_count():
@@ -80,7 +80,7 @@ def test_euler_linear_in_node_count():
     for delta in range(4):
         inp = make_kummer_input(DIAGRAM_A, (2, 1, 1), (2, 1, 1), {"P3": True},
                                 node_count=delta)
-        values.append(branch_curve_euler(inp))
+        values.append(kummer_rigidity(inp).euler)
     assert values == [18, 19, 20, 21]
 
 
@@ -88,7 +88,7 @@ def test_node_count_required_when_unknown():
     d = parse_diagram("3,3,3,2,1 / 3,3,3,_,3")
     inp = make_kummer_input(d, (3, 1), (3, 1), {"P4": True})
     with pytest.raises(MissingNodeCount):
-        branch_curve_euler(inp)
+        kummer_rigidity(inp).euler
 
 
 @pytest.mark.parametrize("left,right,expected", [
