@@ -76,11 +76,17 @@ class Certificate(_Record):
                  kummer_report: KummerReport | None = None, reasons: tuple[str, ...] = (),
                  warnings: tuple[str, ...] = ()):
         reasons, warnings = tuple(reasons), tuple(warnings)  # texts: the writers take exactly str
+        moves = tuple(moves)
         if (type(kind) is not CertificateKind or not isinstance(case, HypothesisCase)
                 or not all(type(text) is str for text in reasons + warnings)):
             raise MalformedInput(f"a certificate needs a CertificateKind, a HypothesisCase and "
                                  f"str texts, got {kind!r}, {case!r}, {reasons}, {warnings}")
-        self._set_fields(kind, case, diagram, (tuple(moves), ()), kummer_report, reasons, warnings)
+        if (not isinstance(diagram, (ProductDiagram, type(None)))
+                or not all(isinstance(move, AppliedMove) for move in moves)
+                or not isinstance(kummer_report, (KummerReport, type(None)))):
+            raise MalformedInput(f"a certificate needs a ProductDiagram or None, AppliedMoves and a "
+                                 f"KummerReport or None, got {diagram!r}, {moves!r}, {kummer_report!r}")
+        self._set_fields(kind, case, diagram, (moves, ()), kummer_report, reasons, warnings)
 
     @property
     def moves(self) -> tuple[AppliedMove, ...]:

@@ -101,8 +101,8 @@ def _check_move(p, divided_positions, source, target):
     divided = set(divided_positions)
     if not divided or len(divided) != len(divided_positions):
         raise MalformedInput(f"divided positions must be distinct and non-empty: {divided_positions}")
-    if not divided <= set(range(len(source))):
-        raise MalformedInput(f"divided positions out of range: {divided_positions}")
+    if not all(type(i) is int and 0 <= i < len(source) for i in divided):
+        raise MalformedInput(f"divided positions out of range or not ints: {divided_positions}")
     total = halved_sum(p)
     if total is None:
         raise MalformedInput(f"no {p}-isogeny keeps the index sum at 12: 12p/(p+1) is not an integer")
@@ -123,17 +123,15 @@ class _MoveSpec(NamedTuple):
     target: tuple[int, ...]
 
 
-def _moves(indices, p):
-    """The :func:`_move_specs` of ``indices``, or () without a cache entry
-    when its indices divisible by p sum below the halved sum."""
-    total = halved_sum(p)
-    if total is None or sum(k for k in indices if k % p == 0) < total:
-        return ()
-    return _move_specs(indices, p)
+@lru_cache(maxsize=None)  # keys: the 58 partitions of 12 into at least four parts
+def _move_primes(partition):
+    """The p in CLOSURE_PRIMES whose divisible indices reach the halved sum:
+    at any other p no ordering of ``partition`` has a move."""
+    return tuple(p for p in CLOSURE_PRIMES if sum(k for k in partition if k % p == 0) >= halved_sum(p))
 
 
-# keys: compositions of 12 x primes that reach _moves' cache lookup (a cold
-# universe pass stores 627 of its 5,943 questions)
+# keys: compositions of 12 x their _move_primes (a cold universe pass stores
+# 627 of its 5,943 questions)
 @lru_cache(maxsize=None)
 def _move_specs(indices: tuple[int, ...], p: int) -> tuple[_MoveSpec, ...]:
     total = halved_sum(p)
@@ -170,7 +168,10 @@ def candidate_moves(config: FiberConfig, p: int) -> tuple[IsogenyMove, ...]:
     """
     def node(indices):
         return config if indices == config.indices else FiberConfig(config.points, indices)
-    return tuple(_typed_move(spec, node) for spec in _moves(config.indices, p))
+    halved_sum(p)  # rejects a p that is not a prime int, as 3.0 in (2, 3, 5) holds
+    if p not in _move_primes(descending(config.indices)):
+        return ()
+    return tuple(_typed_move(spec, node) for spec in _move_specs(config.indices, p))
 
 
 def dual_move(move: IsogenyMove) -> IsogenyMove:
@@ -193,8 +194,8 @@ def _matchings(row, start):
 def _class_of(start: tuple[int, ...]):
     """('uncovered' | 'resolved' | 'ambiguous', rows) for the class of ``start``.
 
-    Uncached: it runs once per gated closure, which :func:`_closure_tuples`
-    caches, and once per :func:`catalog_class` call.  A literal table row
+    Uncached: it runs once per cached gated search and once per
+    :func:`catalog_class` call.  A literal table row
     takes its column at the table alignment.  Otherwise every
     value-preserving matching with a row of the column is tried; the
     transported column is 'resolved' only when all matchings agree.  Over
@@ -231,29 +232,31 @@ class _ClosureData(NamedTuple):
 # 1,981 combinatorial and 495 gated starts of at most five fibers, each asked
 # for once, so an eviction there costs no second search
 @lru_cache(maxsize=1024)
-def _closure_tuples(start: tuple[int, ...], mode: GraphMode) -> _ClosureData:
+def _closure_tuples(start, gated: bool):
     """The breadth-first closure of ``start`` on index tuples: sorted nodes,
     the kept moves out of every node sorted by source, prime and divided
-    positions, and each node's first-found path from the start.  Read it
-    through :func:`_closure_entry`, which gives a start of more than five
-    fibers one entry for both modes.
+    positions, and each node's first-found path.  ``gated`` holds only for a
+    gated start of at most five fibers (see :func:`closure`); a start with
+    no :func:`_move_primes` is its own closure.
 
-    Each edge's dual is the kept move back from its target, so every edge is
-    a ``_move_specs`` spec, checked once when it was created.  The way back
-    exists because a source with a move is admissible or has more than five
-    fibers (no composition with an inadmissible partition has a move), and
-    the gate keeps it because it holds every node that has a move.
+    Every edge is a ``_move_specs`` spec, checked once when it was created,
+    and its dual is the kept move back from its target: a source with a
+    move is admissible or has more than five fibers (no composition with an
+    inadmissible partition has a move), and the gate holds every node that
+    has a move.
     """
+    if not _move_primes(descending(start)):
+        return _ClosureData((start,), (), ((),))
     gate = None  # one row set per start, see closure()
-    if mode is GraphMode.CATALOG_GATED and len(start) <= 5:
+    if gated:
         kind, rows = _class_of(start)
         gate = catalog.TABLE_ROWS if kind == "uncovered" else frozenset(rows)
     queue = [start]
     paths = {start: ()}
     edges = []
     for node in queue:  # walks the nodes appended below, in order
-        for p in CLOSURE_PRIMES:
-            for spec in _moves(node, p):
+        for p in _move_primes(descending(node)):
+            for spec in _move_specs(node, p):
                 if gate is not None and spec.target not in gate:
                     continue
                 edges.append(spec)
@@ -263,13 +266,6 @@ def _closure_tuples(start: tuple[int, ...], mode: GraphMode) -> _ClosureData:
     nodes = tuple(sorted(paths))
     edge_list = tuple(sorted(edges, key=lambda s: (s.source, s.p, s.divided)))
     return _ClosureData(nodes, edge_list, tuple(map(paths.__getitem__, nodes)))
-
-
-def _closure_entry(start, mode):
-    """The :func:`_closure_tuples` entry of ``start`` in ``mode``.  Beyond
-    five fibers the gated closure has no gate, so both modes read the
-    combinatorial entry: one search and one cache key per start."""
-    return _closure_tuples(start, GraphMode.COMBINATORIAL if len(start) > 5 else mode)
 
 
 class IsogenyGraph(_Record):
@@ -316,17 +312,16 @@ def closure(config: FiberConfig, mode: GraphMode = GraphMode.COMBINATORIAL) -> I
 
     Node order is lexicographic in the index tuples.  CatalogGated mode
     keeps only the targets in one row set, decided once per start: the
-    start's class column (transported to the start's positions, see
-    :func:`catalog_class`), only the start when that column is ambiguous,
-    the literal table rows when the start's partition is not admissible,
-    and no gate beyond 5 fibers, where both modes share one cached closure.
-    Moves keep positions and drop every inadmissible target of at most 5
-    fibers, so this equals discarding each reached node the tables cover
-    that is not in the start's class.  Combinatorial mode never reads the
-    tables.  The graph keeps the cached index tuples and specs; its nodes
-    and edges are typed when first read (see :class:`IsogenyGraph`).
+    start's class column (transported, see :func:`catalog_class`), only the
+    start when that column is ambiguous, the literal table rows when the
+    start's partition is not admissible, and no gate beyond 5 fibers, where
+    both modes share one cached closure.  Moves keep positions and drop
+    every inadmissible target of at most 5 fibers, so this equals
+    discarding each reached node the tables cover that is not in the
+    start's class.  Combinatorial mode never reads the tables.  Nodes and
+    edges are typed when first read (see :class:`IsogenyGraph`).
     """
-    data = _closure_entry(config.indices, mode)
+    data = _closure_tuples(config.indices, mode is GraphMode.CATALOG_GATED and len(config.indices) <= 5)
     graph = object.__new__(IsogenyGraph)
     object.__setattr__(graph, "_nodes", (data.nodes, config.points, None))
     object.__setattr__(graph, "_edges", (data.edges, None))

@@ -17,7 +17,7 @@ from . import catalog
 from .configs import (FiberConfig, MIN_FIBERS, TOTAL_INDEX, _Record, _canonical_json, _parse_int,
                       default_points, descending)
 from .errors import ConflictingLabels, MalformedInput, SideMismatch, TooFewFibers
-from .isogeny import GraphMode, IsogenyMove, _closure_entry, _spec_of, _typed_move
+from .isogeny import IsogenyMove, _closure_tuples, _spec_of, _typed_move
 
 Side = Literal["left", "right"]
 
@@ -204,7 +204,7 @@ def _class_split(indices, facing):
     I_2, and the gated closure entry itself, which holds each node's path.
     Isogenies keep fibers in place, so a node's obstructions are its indices
     n >= 2 at the positions set in ``facing``, those facing a smooth fiber."""
-    entry = _closure_entry(indices, GraphMode.CATALOG_GATED)
+    entry = _closure_tuples(indices, True)  # an admissible factor: 4 or 5 fibers
     free, lone = [], []
     for node in reversed(entry.nodes):
         obstructions = [k for i, k in enumerate(node) if facing >> i & 1 and k >= 2]

@@ -27,7 +27,7 @@ from math import prod
 from . import catalog
 from .configs import FiberConfig, _Record, descending, render_config
 from .errors import MalformedInput, NotPrime, TorsionContradiction, UnsupportedPrime
-from .isogeny import _is_prime, _moves
+from .isogeny import _is_prime, _move_primes, _move_specs
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
@@ -119,16 +119,17 @@ def _table_move_partitions() -> frozenset[tuple[tuple[int, ...], int]]:
     for cls in catalog.ALL_CLASSES:
         rows = set(cls)
         for row in cls:
-            for p in SUPPORTED_PRIMES:
-                for spec in _moves(row, p):
-                    if spec.target in rows:
-                        attested.add((descending(row), p))
+            partition = descending(row)
+            for p in _move_primes(partition):
+                if any(spec.target in rows for spec in _move_specs(row, p)):
+                    attested.add((partition, p))
     return frozenset(attested)
 
 
 @lru_cache(maxsize=None)  # keys: the 58 partitions of 12 into at least four parts x SUPPORTED_PRIMES
-def _verdict(partition: tuple[int, ...], p: int) -> tuple[tuple[Provenance, ...], ...]:
-    """The Yes provenances and the No provenances of ``partition`` at p.
+def _verdict(partition: tuple[int, ...], p: int):
+    """The Yes provenances, the No provenances and the answer of
+    ``partition`` at p (Yes when both fire, a contradiction).
     Every argument reads only the multiset of indices (see the module
     docstring), so one verdict serves every ordering of the partition."""
     nondivisible = _nondivisible(partition, p)
@@ -140,9 +141,9 @@ def _verdict(partition: tuple[int, ...], p: int) -> tuple[tuple[Provenance, ...]
     no = ()
     if p == 2 and len(nondivisible) > 4:  # the parity bound: more than four odd indices
         no = (Provenance.NECESSARY_CRITERION,)
-    if not _moves(partition, p):
+    if p not in _move_primes(partition) or not _move_specs(partition, p):
         no += (Provenance.MOVE_NONEXISTENCE,)
-    return yes, no
+    return yes, no, TorsionAnswer.YES if yes else TorsionAnswer.NO if no else TorsionAnswer.UNKNOWN
 
 
 def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
@@ -159,9 +160,8 @@ def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
         raise MalformedInput(f"prime argument must be an int, got {p!r}")
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedPrime(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
-    yes, no = _verdict(descending(config.indices), p)
+    yes, no, answer = _verdict(descending(config.indices), p)
     if yes and no:
         raise TorsionContradiction(f"{render_config(config)} p={p}: both {yes[0]} "
                                    f"and {', '.join(map(str, no))} fired")
-    answer = TorsionAnswer.YES if yes else TorsionAnswer.NO if no else TorsionAnswer.UNKNOWN
     return TorsionStatus(answer, yes or no)

@@ -12,7 +12,7 @@ from ellab.correspondence import (CaseKind, Certificate, CertificateKind, Hypoth
                                   _pair_record, certificate_to_json, certify,
                                   classify_hypotheses, render_certificate)
 from ellab.errors import HypothesesNotMet, MalformedInput, NotInCatalog
-from ellab.isogeny import GraphMode, IsogenyMove, _closure_tuples, candidate_moves
+from ellab.isogeny import IsogenyMove, _closure_tuples, candidate_moves
 from ellab.kummer import Rationality, kummer_input_from_catalog, kummer_rigidity
 from ellab.product import (AppliedMove, ProductDiagram, _class_split, _partner,
                            apply_move, find_rigid_partner, is_rigid_criterion,
@@ -261,7 +261,7 @@ def _eager_moves(d, partner):
     moves = []
     for side, project in (("left", left_config), ("right", right_config)):
         config = project(d)
-        data = _closure_tuples(config.indices, GraphMode.CATALOG_GATED)
+        data = _closure_tuples(config.indices, True)
         path = data.paths[data.nodes.index(project(partner).indices)]
         for spec in path:
             move = IsogenyMove(spec.p, spec.divided, FiberConfig(config.points, spec.source),
@@ -488,6 +488,12 @@ def test_certify_refuses_a_node_count_that_is_not_an_int(node_count):
     (("bogus", "case"), {}),
     ((CertificateKind.NOT_CERTIFIED, CaseKind.CASE_B), {}),
     ((CertificateKind.NOT_CERTIFIED, HypothesisCase(CaseKind.CASE_B)), {"warnings": ("w", b"x")}),
+    ((CertificateKind.RIGID_KUMMER, HypothesisCase(CaseKind.CASE_B)),
+     {"diagram": "x", "kummer_report": 5}),
+    ((CertificateKind.RIGID_KUMMER, HypothesisCase(CaseKind.CASE_B)), {"diagram": "x"}),
+    ((CertificateKind.RIGID_KUMMER, HypothesisCase(CaseKind.CASE_B)), {"kummer_report": 5}),
+    ((CertificateKind.RIGID_PRODUCT_PARTNER, HypothesisCase(CaseKind.CASE_A)),
+     {"diagram": SEEDED_CASE_A, "moves": ["left"]}),
 ])
 def test_certificate_rejects_fields_of_the_wrong_type(args, fields):
     with pytest.raises(MalformedInput):

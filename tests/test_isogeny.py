@@ -13,8 +13,8 @@ from ellab.configs import FiberConfig, default_points, descending, parse_config
 from ellab.errors import MalformedInput, NotInCatalog, NotPrime, TorsionContradiction
 from ellab import isogeny
 from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
-                           _check_move, _class_of, _closure_entry, _closure_tuples,
-                           _is_prime, _matchings, _move_specs,
+                           _check_move, _class_of, _closure_tuples,
+                           _is_prime, _matchings, _move_primes, _move_specs,
                            candidate_moves, catalog_class, closure, dual_move, graph_to_json,
                            graph_to_tsv, halved_sum)
 from ellab.torsion import (_table_move_partitions, _verdict, excludes_two_torsion,
@@ -189,6 +189,16 @@ def test_dual_move_example():
     assert dual_move(dual) == move
 
 
+@pytest.mark.parametrize("divided", [(True, False), (0, True), (0.0, 1), (0, 1.0)])
+def test_divided_positions_that_are_not_ints_are_malformed(divided):
+    """(True, False) equals (1, 0) and passed the range check, so the move
+    built and was written to JSON as "D": [true, false]."""
+    move = candidate_moves(parse_config("4422"), 2)[0]
+    assert move.divided_positions == (0, 1)
+    with pytest.raises(MalformedInput, match="divided positions out of range or not ints"):
+        IsogenyMove(2, divided, move.source, move.target)
+
+
 def test_dual_is_involution_on_all_catalog_moves():
     for cls in ALL_CLASSES:
         for row in cls:
@@ -236,7 +246,7 @@ def test_graphs_and_moves_equal_fresh_construction_on_every_composition():
     for composition in COMPOSITIONS:
         config = cfg(composition)
         for mode in GraphMode:
-            data = _closure_tuples(composition, mode)
+            data = _closure_tuples(composition, mode is GraphMode.CATALOG_GATED and len(composition) <= 5)
             reference = IsogenyGraph(tuple(cfg(t) for t in data.nodes),
                                      tuple(fresh_move(s, config.points) for s in data.edges), mode)
             graph = closure(config, mode)
@@ -288,9 +298,10 @@ def test_move_lists_below_the_halved_sum_are_not_stored():
 
 def test_torsion_tables_store_no_move_list_below_the_halved_sum():
     """The class-table scan behind the torsion oracle reads moves through
-    _moves as well, so closure in both modes plus torsion for p = 2, 3, 5
-    over every composition stores the same 627 keys as closure alone."""
-    for cache in (_move_specs, _closure_tuples, _table_move_partitions, _verdict):
+    _move_primes as well, so closure in both modes plus torsion for p = 2, 3, 5
+    over every composition stores the same 627 keys as closure alone, and
+    decides the move primes of the 58 partitions once each."""
+    for cache in (_move_primes, _move_specs, _closure_tuples, _table_move_partitions, _verdict):
         cache.cache_clear()
     for composition in COMPOSITIONS:
         config = cfg(composition)
@@ -302,6 +313,27 @@ def test_torsion_tables_store_no_move_list_below_the_halved_sum():
             except TorsionContradiction:
                 pass
     assert _move_specs.cache_info().currsize == 627
+    assert _move_primes.cache_info().currsize == 58
+
+
+def test_move_primes_equal_the_divisible_sum_on_every_composition():
+    """A prime is missing from _move_primes exactly where the indices
+    divisible by it sum below the halved sum, and there the uncached move
+    search finds no move."""
+    missing = 0
+    for composition in COMPOSITIONS:
+        primes = _move_primes(descending(composition))
+        for p in CLOSURE_PRIMES:
+            below = sum(k for k in composition if k % p == 0) < halved_sum(p)
+            assert (p not in primes) == below, (composition, p)
+            if below:
+                assert _move_specs.__wrapped__(composition, p) == (), (composition, p)
+                missing += 1
+    assert missing == 5943 - 627
+    # 1,378 starts over 33 partitions have no move prime, 244 of them of at most five fibers
+    no_prime = [c for c in COMPOSITIONS if not _move_primes(descending(c))]
+    assert len(no_prime) == 1378 and len({descending(c) for c in no_prime}) == 33
+    assert sum(len(c) <= 5 for c in no_prime) == 244
 
 
 def test_a_bool_index_cannot_poison_the_closure_cache():
@@ -347,10 +379,10 @@ def test_gated_closure_beyond_five_fibers_is_the_combinatorial_one():
     beyond = [composition for composition in COMPOSITIONS if len(composition) > 5]
     assert len(beyond) == 1486
     for composition in beyond:
-        shared = _closure_entry(composition, GraphMode.CATALOG_GATED)
-        assert shared is _closure_entry(composition, GraphMode.COMBINATORIAL), composition
-        # the search with the mode as given finds the same nodes, edges and paths
-        assert _closure_tuples(composition, GraphMode.CATALOG_GATED) == shared, composition
+        shared = _closure_tuples(composition, False)
+        for mode in GraphMode:
+            graph = closure(cfg(composition), mode)
+            assert graph._nodes[0] is shared.nodes and graph._edges[0] is shared.edges, composition
 
 
 def test_closure_invariants_on_every_composition():
@@ -541,7 +573,7 @@ def per_node_gated_closure(start):
 
 def test_gated_closure_equals_per_node_gate_on_every_composition():
     for composition in COMPOSITIONS:
-        data = _closure_tuples(composition, GraphMode.CATALOG_GATED)
+        data = _closure_tuples(composition, len(composition) <= 5)
         paths, edges = per_node_gated_closure(composition)
         assert data.nodes == tuple(sorted(paths)), composition
         assert set(data.edges) == edges and len(data.edges) == len(edges), composition

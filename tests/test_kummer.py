@@ -6,7 +6,7 @@ import pytest
 from ellab.configs import default_points
 from ellab.correspondence import CaseKind, classify_hypotheses
 from ellab.errors import MalformedInput, MissingFlag, MissingNodeCount, NotInCatalog
-from ellab.isogeny import GraphMode, _closure_tuples
+from ellab.isogeny import _closure_tuples
 from ellab.kummer import (LONE_I2_OBSTRUCTIONS, Rationality, _node_count,
                           component_interval, default_node_count, equisingular_zero,
                           fiber_fixed_points, kummer_input_from_catalog,
@@ -237,7 +237,7 @@ def test_delta_rule_equals_a_multiset_oracle_on_every_lone_i2_pair(case_b_diagra
         for side, indices in enumerate(d._factors):
             others = [pair[1 - side] for pair in d.pairs if pair[side]]
             facing = sum(1 << i for i, other in enumerate(others) if not other)
-            nodes.append(_closure_tuples(indices, GraphMode.CATALOG_GATED).nodes)
+            nodes.append(_closure_tuples(indices, True).nodes)
             splits.append(_class_split(indices, facing))
         (l_free, l_lone, _), (r_free, r_lone, _) = splits
         lone = {(l, r) for l in l_free for r in r_lone} | {(l, r) for l in l_lone for r in r_free}

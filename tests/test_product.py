@@ -235,7 +235,7 @@ def test_positional_test_equals_pair_rows_on_every_small_composition():
             composition = tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
             if descending(composition) not in ADMISSIBLE_PARTITIONS:
                 continue
-            nodes = tuple(reversed(_closure_tuples(composition, GraphMode.CATALOG_GATED).nodes))
+            nodes = tuple(reversed(_closure_tuples(composition, True).nodes))
             n = len(composition)
             for size in range(n + 1):
                 for facing in itertools.combinations(range(n), size):
@@ -273,7 +273,7 @@ def test_partner_path_specs_are_the_closure_entrys_own_objects():
             composition = tuple(b - a for a, b in zip((0,) + cuts, cuts + (12,)))
             if descending(composition) not in ADMISSIBLE_PARTITIONS:
                 continue
-            data = _closure_tuples(composition, GraphMode.CATALOG_GATED)
+            data = _closure_tuples(composition, True)
             split = _class_split(composition, 0)
             assert split[2] is data
             d = ProductDiagram(default_points(len(composition)), tuple(zip(composition, composition)))
