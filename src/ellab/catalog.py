@@ -118,6 +118,11 @@ ALL_CLASSES = FOUR_FIBER_CLASSES + FIVE_FIBER_CLASSES
 TABLE_ROWS: frozenset[tuple[int, ...]] = frozenset(
     row for cls in ALL_CLASSES for row in cls
 )
+# the partitions of the two classes whose rows drop a combinatorial move (all
+# at p = 2, out of 22422 and 62211): elsewhere gated closure is combinatorial
+CUT_PARTITIONS: frozenset[tuple[int, ...]] = frozenset((
+    (4, 4, 2, 1, 1), (4, 2, 2, 2, 2), (8, 1, 1, 1, 1), (6, 2, 2, 1, 1), (4, 3, 2, 2, 1),
+))
 # partition -> position of its class in ALL_CLASSES (no partition spans two)
 CLASS_INDEX: dict[tuple[int, ...], int] = {
     descending(row): i for i, cls in enumerate(ALL_CLASSES) for row in cls

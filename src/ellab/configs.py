@@ -105,6 +105,8 @@ def parse_config(text: str, labels=None) -> FiberConfig:
     Multi-digit indices require the CSV form.  Point labels default to
     P1..Pn unless ``labels`` is given.
     """
+    if type(text) is not str:
+        raise MalformedInput(f"configuration text must be a str, got {text!r}")
     text = text.strip()
     if not text:
         raise MalformedInput("empty configuration text")

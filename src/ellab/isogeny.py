@@ -192,20 +192,18 @@ def _matchings(row, start):
 
 
 def _class_of(start: tuple[int, ...]):
-    """('uncovered' | 'resolved' | 'ambiguous', rows) for the class of ``start``.
+    """('resolved' | 'ambiguous', rows) for the class of ``start``, which is
+    admissible.
 
-    Uncached: it runs once per cached gated search and once per
-    :func:`catalog_class` call.  A literal table row
-    takes its column at the table alignment.  Otherwise every
-    value-preserving matching with a row of the column is tried; the
-    transported column is 'resolved' only when all matchings agree.  Over
-    all compositions the 'ambiguous' starts are position variants of 62211
-    (29), 42222 (4) and 81111 (4): matchings that swap equal indices of the
-    start transport the column to different row sets.
+    Uncached: it runs once per cached gated search (130 starts) and once
+    per :func:`catalog_class` call.  A table row takes its column as is.
+    Otherwise every value-preserving matching with a row of the column is
+    tried; the transported column is 'resolved' only when all matchings
+    agree.  Over all compositions the 'ambiguous' starts are position
+    variants of 62211 (29), 42222 (4) and 81111 (4): matchings that swap
+    equal indices of the start transport the column to different row sets.
     """
-    position = catalog.CLASS_INDEX.get(descending(start))
-    if position is None:
-        return "uncovered", ()
+    position = catalog.CLASS_INDEX[descending(start)]
     cls = catalog.ALL_CLASSES[position]
     if start in cls:
         return "resolved", cls
@@ -230,14 +228,15 @@ class _ClosureData(NamedTuple):
 
 # keys per universe pass (closure in both modes of every composition): 2,476,
 # 1,981 combinatorial and 495 gated starts of at most five fibers, each asked
-# for once, so an eviction there costs no second search
+# for once, so an eviction costs no second search
 @lru_cache(maxsize=1024)
 def _closure_tuples(start, gated: bool):
     """The breadth-first closure of ``start`` on index tuples: sorted nodes,
     the kept moves out of every node sorted by source, prime and divided
     positions, and each node's first-found path.  ``gated`` holds only for a
     gated start of at most five fibers (see :func:`closure`); a start with
-    no :func:`_move_primes` is its own closure.
+    no :func:`_move_primes` is its own closure, and a gated start outside
+    ``CUT_PARTITIONS`` reads the combinatorial one.
 
     Every edge is a ``_move_specs`` spec, checked once when it was created,
     and its dual is the kept move back from its target: a source with a
@@ -245,12 +244,12 @@ def _closure_tuples(start, gated: bool):
     inadmissible partition has a move), and the gate holds every node that
     has a move.
     """
-    if not _move_primes(descending(start)):
+    partition = descending(start)
+    if not _move_primes(partition):
         return _ClosureData((start,), (), ((),))
-    gate = None  # one row set per start, see closure()
-    if gated:
-        kind, rows = _class_of(start)
-        gate = catalog.TABLE_ROWS if kind == "uncovered" else frozenset(rows)
+    if gated and partition not in catalog.CUT_PARTITIONS:
+        return _closure_tuples(start, False)
+    gate = frozenset(_class_of(start)[1]) if gated else None
     queue = [start]
     paths = {start: ()}
     edges = []
@@ -312,14 +311,15 @@ def closure(config: FiberConfig, mode: GraphMode = GraphMode.COMBINATORIAL) -> I
 
     Node order is lexicographic in the index tuples.  CatalogGated mode
     keeps only the targets in one row set, decided once per start: the
-    start's class column (transported, see :func:`catalog_class`), only the
-    start when that column is ambiguous, the literal table rows when the
-    start's partition is not admissible, and no gate beyond 5 fibers, where
-    both modes share one cached closure.  Moves keep positions and drop
-    every inadmissible target of at most 5 fibers, so this equals
-    discarding each reached node the tables cover that is not in the
-    start's class.  Combinatorial mode never reads the tables.  Nodes and
-    edges are typed when first read (see :class:`IsogenyGraph`).
+    start's class column (transported, see :func:`catalog_class`), or only
+    the start when that column is ambiguous.  Only the classes of
+    :data:`catalog.CUT_PARTITIONS` drop a move, so any other start, and
+    every start beyond 5 fibers, shares one cached closure in both modes.
+    Moves keep positions and drop every inadmissible target of at most 5
+    fibers, so this equals discarding each reached node the tables cover
+    that is not in the start's class.  Combinatorial mode never reads the
+    tables.  Nodes and edges are typed when first read (see
+    :class:`IsogenyGraph`).
     """
     data = _closure_tuples(config.indices, mode is GraphMode.CATALOG_GATED and len(config.indices) <= 5)
     graph = object.__new__(IsogenyGraph)

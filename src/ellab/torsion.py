@@ -15,7 +15,8 @@ The criteria are not jointly complete, so a genuine Unknown region remains.
 Every argument reads only the multiset of fiber indices: moves keep
 positions, so permuting the indices permutes the moves, and the other
 arguments count or multiply indices.  The verdict is therefore decided once
-per (partition, p) and cached; each query builds a fresh status from it.
+per (partition, p) and cached with its one status, which every ordering of
+the partition gets.
 """
 
 from __future__ import annotations
@@ -128,10 +129,11 @@ def _table_move_partitions() -> frozenset[tuple[tuple[int, ...], int]]:
 
 @lru_cache(maxsize=None)  # keys: the 58 partitions of 12 into at least four parts x SUPPORTED_PRIMES
 def _verdict(partition: tuple[int, ...], p: int):
-    """The Yes provenances, the No provenances and the answer of
-    ``partition`` at p (Yes when both fire, a contradiction).
-    Every argument reads only the multiset of indices (see the module
-    docstring), so one verdict serves every ordering of the partition."""
+    """The Yes provenances, the No provenances and the status of
+    ``partition`` at p, built once through the validating constructor, or
+    None when both fire (a contradiction).  Every argument reads only the
+    multiset of indices (see the module docstring), so one verdict serves
+    every ordering of the partition."""
     nondivisible = _nondivisible(partition, p)
     yes = ()
     if _sufficient(partition, p, nondivisible):
@@ -143,7 +145,10 @@ def _verdict(partition: tuple[int, ...], p: int):
         no = (Provenance.NECESSARY_CRITERION,)
     if p not in _move_primes(partition) or not _move_specs(partition, p):
         no += (Provenance.MOVE_NONEXISTENCE,)
-    return yes, no, TorsionAnswer.YES if yes else TorsionAnswer.NO if no else TorsionAnswer.UNKNOWN
+    if yes and no:
+        return yes, no, None
+    return yes, no, TorsionStatus(TorsionAnswer.YES if yes else TorsionAnswer.NO if no
+                                  else TorsionAnswer.UNKNOWN, yes or no)
 
 
 def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
@@ -152,16 +157,17 @@ def torsion_status(config: FiberConfig, p: int) -> TorsionStatus:
     Yes via the sufficient criterion, or via a class table containing a
     p-move from this partition.  No via the parity bound (p=2) or because
     no candidate move exists.  Both No provenances are reported when both
-    arguments fire.  The verdict is decided once per (partition, p) and
-    cached (see :func:`_verdict`); each call builds a fresh status from it,
-    and a contradiction names the configuration as given.
+    arguments fire.  The status is decided once per (partition, p) and
+    cached (see :func:`_verdict`), so every ordering of a partition gets
+    the same immutable object; a contradiction names the configuration as
+    given.
     """
     if type(p) is not int:  # before the cache, whose keys compare 3.0 equal to 3
         raise MalformedInput(f"prime argument must be an int, got {p!r}")
     if p not in SUPPORTED_PRIMES:
         raise UnsupportedPrime(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
-    yes, no, answer = _verdict(descending(config.indices), p)
-    if yes and no:
+    yes, no, status = _verdict(descending(config.indices), p)
+    if status is None:
         raise TorsionContradiction(f"{render_config(config)} p={p}: both {yes[0]} "
                                    f"and {', '.join(map(str, no))} fired")
-    return TorsionStatus(answer, yes or no)
+    return status

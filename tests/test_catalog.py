@@ -148,3 +148,46 @@ def test_check_admissible_returns_the_class_index_of_every_composition():
             with pytest.raises(NotInCatalog, match=f"^{re.escape(message)}$"):
                 catalog._check_admissible(composition, "start")
     assert admissible_count == 323
+
+
+def two_move_targets(row):
+    """Independent enumeration of the 2-isogeny targets of a row: halve a
+    set D of even indices summing to 8 and double every other index."""
+    evens = [i for i, k in enumerate(row) if k % 2 == 0]
+    return [tuple(k // 2 if i in divided else 2 * k for i, k in enumerate(row))
+            for size in range(1, len(evens) + 1)
+            for divided in itertools.combinations(evens, size)
+            if sum(row[i] for i in divided) == 8]
+
+
+DEGREES_BY_TWO_TORSION = {0: (3, 1), 1: (2, 1, 1), 3: (1, 1, 1, 1)}
+
+
+def test_branch_degrees_follow_from_the_gated_two_moves():
+    """Each stored ``branch_component_degrees`` is the split of the branch
+    four-section that the 2-torsion sections force, counted as the 2-moves
+    out of the partition's first literal row that stay in its class column.
+
+    The Kummer involution is fiberwise -1, so its fixed locus is the zero
+    section plus the trisection of nonzero 2-torsion points, and the branch
+    four-section splits as 1 + the Galois orbits on E[2] minus 0: (3, 1)
+    with no 2-torsion section, (2, 1, 1) with one and (1, 1, 1, 1) with
+    three.  Each nonzero 2-torsion section gives one 2-isogeny, that is one
+    gated 2-move.  Assumed, not derived here: the involution of the plane
+    quartic model is -1 about the zero section, as in the double-cover
+    construction of the fiber products (arXiv 0802.3763), so its fixed locus
+    is E[2] itself; about a non-zero section it would be an E[2]-torsor.
+    """
+    gated = {}
+    for entry in catalog.EMBEDDED_ENTRIES:
+        if entry.branch_component_degrees is None:
+            continue
+        column = catalog.ALL_CLASSES[catalog.CLASS_INDEX[entry.partition]]
+        row = next(row for row in column if descending(row) == entry.partition)
+        count = sum(target in column for target in two_move_targets(row))
+        assert entry.branch_component_degrees == DEGREES_BY_TWO_TORSION[count], entry
+        gated[index_text(entry.partition)] = count
+    assert gated == {"9111": 0, "8211": 1, "6321": 1, "5511": 0, "4422": 3, "3333": 0,
+                     "62211": 1, "44211": 1, "33321": 0}
+    # 62211 needs the gate: the tables drop one of its two combinatorial 2-moves
+    assert len(two_move_targets((6, 2, 2, 1, 1))) == 2

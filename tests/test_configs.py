@@ -48,6 +48,12 @@ def test_parse_errors(text, error):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text", [None, 9111, b"9111", ("9", "1", "1", "1")])
+def test_parse_rejects_text_that_is_not_a_str(text):
+    with pytest.raises(MalformedInput, match="configuration text must be a str"):
+        parse_config(text)
+
+
 def test_constructor_rejects_duplicate_labels():
     with pytest.raises(MalformedInput):
         FiberConfig(("P1", "P1", "P2", "P3"), (3, 3, 3, 3))

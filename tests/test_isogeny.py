@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from ellab.catalog import (ADMISSIBLE_PARTITIONS, ALL_CLASSES, Admissibility, CLASS_INDEX,
-                           FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES, TABLE_ROWS, admissible)
-from ellab.configs import FiberConfig, default_points, descending, parse_config
+                           CUT_PARTITIONS, FIVE_FIBER_CLASSES, FOUR_FIBER_CLASSES, TABLE_ROWS,
+                           admissible)
+from ellab.configs import FiberConfig, default_points, descending, index_text, parse_config
 from ellab.errors import MalformedInput, NotInCatalog, NotPrime, TorsionContradiction
 from ellab import isogeny
 from ellab.isogeny import (CLOSURE_PRIMES, GraphMode, IsogenyGraph, IsogenyMove,
@@ -364,15 +365,26 @@ def test_every_move_spec_builds_a_valid_move():
     assert built == 892
 
 
-def test_cold_universe_pass_searches_each_closure_once():
+def test_cold_universe_pass_searches_each_closure_once(monkeypatch):
     """Beyond five fibers both modes read one entry: a cold pass of closure
-    in both modes searches 1,981 combinatorial and 495 gated closures."""
+    in both modes asks for 1,981 combinatorial and 495 gated closures.  Of
+    the gated ones only the 130 starts of CUT_PARTITIONS search with their
+    class column; every other gated entry is the combinatorial one."""
+    calls = []
+    real = isogeny._class_of
+    monkeypatch.setattr(isogeny, "_class_of", lambda start: calls.append(start) or real(start))
     for cache in (_move_specs, _closure_tuples):
         cache.cache_clear()
     for composition in COMPOSITIONS:
         for mode in GraphMode:
             closure(cfg(composition), mode)
     assert _closure_tuples.cache_info().misses == 1981 + 495 == 2476
+    assert len(calls) == len(set(calls)) == 130
+    assert {descending(start) for start in calls} == CUT_PARTITIONS
+    for composition in COMPOSITIONS:
+        partition = descending(composition)
+        if _move_primes(partition) and partition not in CUT_PARTITIONS:
+            assert _closure_tuples(composition, True) is _closure_tuples(composition, False)
 
 
 def test_gated_closure_beyond_five_fibers_is_the_combinatorial_one():
@@ -549,13 +561,14 @@ def dual_spec(spec):
 
 def per_node_gated_closure(start):
     """Reference: breadth-first closure that tests every reached node against
-    the tables, discarding a covered node outside the start's class."""
-    kind, rows = _class_of(start)
+    the tables, discarding a covered node outside the start's class, or
+    outside every class for a start whose partition no class covers."""
+    rows = _class_of(start)[1] if descending(start) in CLASS_INDEX else TABLE_ROWS
 
     def keep(node):
         if node == start or descending(node) not in CLASS_INDEX:
             return True
-        return node in (TABLE_ROWS if kind == "uncovered" else rows)
+        return node in rows
 
     queue, paths, edges = [start], {start: ()}, set()
     while queue:
@@ -578,6 +591,50 @@ def test_gated_closure_equals_per_node_gate_on_every_composition():
         assert data.nodes == tuple(sorted(paths)), composition
         assert set(data.edges) == edges and len(data.edges) == len(edges), composition
         assert data.paths == tuple(paths[node] for node in data.nodes), composition
+
+
+def test_cut_partitions_are_the_classes_whose_rows_close_beyond_their_column():
+    """CUT_PARTITIONS, derived from the tables: the partitions of every
+    class with a literal row whose combinatorial closure is not its column."""
+    derived = set()
+    for cls in ALL_CLASSES:
+        if any(set(_closure_tuples(row, False).nodes) != set(cls) for row in cls):
+            derived |= {descending(row) for row in cls}
+    assert derived == CUT_PARTITIONS
+    assert {index_text(partition) for partition in derived} == {
+        "44211", "42222", "81111", "62211", "43221"}
+
+
+def test_gated_closure_differs_from_combinatorial_only_on_cut_partitions():
+    """With the per-node reference, not the program's routing: gated and
+    combinatorial closure agree on 1,851 compositions and differ on the 130
+    of CUT_PARTITIONS."""
+    differ = []
+    for composition in COMPOSITIONS:
+        paths, edges = per_node_gated_closure(composition)
+        combinatorial = _closure_tuples(composition, False)
+        if set(paths) != set(combinatorial.nodes) or edges != set(combinatorial.edges):
+            differ.append(composition)
+    assert len(COMPOSITIONS) - len(differ) == 1851
+    assert len(differ) == 130
+    assert {descending(c) for c in differ} == CUT_PARTITIONS
+    assert sum(descending(c) in CUT_PARTITIONS for c in COMPOSITIONS) == 130
+
+
+def test_tables_drop_exactly_five_moves_between_their_rows():
+    """Out of the literal rows, every combinatorial move lands in the row's
+    column except five at p = 2: four out of 22422, each dividing the I_4
+    with one I_2 of each pair {0,1} and {3,4} (a kept move divides it with a
+    whole pair, or divides all four I_2), and one out of 62211 (only the
+    distinguished I_2 at position 1 divides)."""
+    dropped = sorted((row, spec.p, spec.divided) for cls in ALL_CLASSES for row in cls
+                     for p in CLOSURE_PRIMES for spec in _move_specs(row, p)
+                     if spec.target not in cls)
+    assert dropped == [
+        ((2, 2, 4, 2, 2), 2, (0, 2, 3)), ((2, 2, 4, 2, 2), 2, (0, 2, 4)),
+        ((2, 2, 4, 2, 2), 2, (1, 2, 3)), ((2, 2, 4, 2, 2), 2, (1, 2, 4)),
+        ((6, 2, 2, 1, 1), 2, (0, 2)),
+    ]
 
 
 BEAUVILLE_COLUMNS = {

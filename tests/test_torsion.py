@@ -252,9 +252,12 @@ def test_cold_pass_decides_one_verdict_per_partition_and_prime():
     assert info.hits == 3 * len(COMPOSITIONS) - 174 == 5769
 
 
-def test_orderings_of_one_partition_get_equal_distinct_statuses():
+def test_orderings_of_one_partition_share_one_status():
+    """The status is built once per (partition, p), through the validating
+    constructor, and every ordering gets that immutable object."""
     first, second = torsion_status(parse_config("9111"), 3), torsion_status(parse_config("1119"), 3)
-    assert first == second and first is not second
+    assert first is second
+    assert first == TorsionStatus(TorsionAnswer.YES, (Provenance.SUFFICIENT_CRITERION,))
     assert str(first) == "Yes (SufficientCriterion)"
 
 
